@@ -228,10 +228,13 @@ def cmd_train(args) -> int:
 
 
 def _read_input_lines(spec_path) -> list:
-    if spec_path == "-":
-        return sys.stdin.read().splitlines()
-    with open(spec_path, encoding="utf-8") as fh:
-        return fh.read().splitlines()
+    try:
+        if spec_path == "-":
+            return sys.stdin.read().splitlines()
+        with open(spec_path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"input {spec_path} is not valid UTF-8: {e}") from None
 
 
 def cmd_predict(args) -> int:
@@ -244,17 +247,23 @@ def cmd_predict(args) -> int:
     if args.beam_width < 1:
         raise ConfigError(f"--beam-width must be >= 1, got {args.beam_width}")
     lines = _read_input_lines(args.input)
-    stripped = [l for l in lines if l.strip()]
-    if stripped and "|" in stripped[0]:
-        items = [(s.nbest[0].text(), s.gold)
-                 for s in parse_dataset_lines(lines, where=args.input)]
+    numbered = [(no, l.strip()) for no, l in enumerate(lines, start=1) if l.strip()]
+    if numbered and "|" in numbered[0][1]:
+        samples = parse_dataset_lines(lines, where=args.input)
+        # the parser validated every rank; each sample starts at a rank-1 line
+        starts = [no for no, l in numbered if int(l.split("|", 1)[0]) == 1]
+        items = [(no, s.nbest[0].text(), s.gold) for no, s in zip(starts, samples)]
     else:
-        items = [(l.strip(), "-") for l in stripped]
+        # raw text: the BPE vocabulary and the model are lowercase only
+        items = [(no, l.lower(), "-") for no, l in numbered]
     results = []
-    for text, gold in items:
-        pred = predict_name(ck.params, ck.config, ck.bpe, text,
-                            beam_width=args.beam_width,
-                            length_normalize=args.length_normalize)
+    for line_no, text, gold in items:
+        try:
+            pred = predict_name(ck.params, ck.config, ck.bpe, text,
+                                beam_width=args.beam_width,
+                                length_normalize=args.length_normalize)
+        except ValueError as e:  # e.g. a source longer than max_src_len
+            raise DataFormatError(f"input {args.input}: {e}", line_no=line_no) from None
         results.append(ScoredResult(pred, gold))
     save_results(results, args.out)
     print(f"wrote {len(results)} predictions to {args.out}")

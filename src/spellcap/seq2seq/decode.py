@@ -1,9 +1,11 @@
 """Greedy and beam decoding over the character alphabet.
 
 Confidence is the total (length-unnormalized) log-probability of the emitted
-sequence including EOS; a length-normalized variant sits behind a flag. Beam
-search ranks EOS against the other symbols inside the top-k selection, so a
-beam of width 1 reproduces greedy decoding exactly, ties and all.
+sequence including EOS; a length-normalized variant sits behind a flag. Both
+decoders run one search: the live hypotheses are stacked as rows of one
+incremental decoder call per step, and EOS is ranked against the other
+symbols inside the top-k selection, so greedy decoding is the width-1 beam,
+ties and all.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,15 @@ import numpy as np
 
 from ..baseline import Prediction
 from ..tokenizer import BOS_ID, bpe_encode, char_decode
-from .model import ModelConfig, _log_softmax, decoder_forward, encode, id_of_class
+from .model import (
+    ModelConfig,
+    _log_softmax,
+    decoder_cache,
+    decoder_forward,
+    encode,
+    id_of_class,
+    reindex_cache,
+)
 
 
 @dataclass(frozen=True)
@@ -22,67 +32,59 @@ class DecodeResult:
     reached_eos: bool
 
 
-def _step_logprobs(p, cfg, memory, prefix):
-    logits = decoder_forward(p, cfg, memory, prefix)
-    return _log_softmax(logits[-1])
+def _search(p, cfg, src_ids, width, max_len):
+    """Length-unnormalized beam search; returns results sorted by logprob.
+
+    Each step expands every live prefix by all classes and keeps the global
+    top ``width`` candidates, ranked by a stable sort over the row-major
+    (prefix, class) scores so ties go to the earlier prefix, then the lower
+    class; candidates ending in EOS retire to the completed pool. Search
+    stops once the best live score cannot beat the best completed one
+    (scores only decrease along a path).
+    """
+    if max_len is None:
+        max_len = cfg.max_tgt_len
+    memory = encode(p, cfg, src_ids)
+    cache = decoder_cache(p, cfg, memory)
+    live = [[BOS_ID]]
+    scores = np.zeros(1)
+    completed: list[DecodeResult] = []
+    for _ in range(max_len):
+        logp = _log_softmax(decoder_forward(p, cfg, memory, [s[-1] for s in live], cache))
+        n_classes = logp.shape[1]
+        pool = (scores[:, None] + logp).ravel()
+        keep, next_live = [], []
+        for idx in np.argsort(-pool, kind="stable")[:width].tolist():
+            row, cls = divmod(idx, n_classes)
+            seq = live[row] + [id_of_class(cls)]
+            if cls == 0:  # EOS is class 0
+                completed.append(DecodeResult(char_decode(seq), float(pool[idx]), True))
+            else:
+                keep.append(idx)
+                next_live.append(seq)
+        live, scores = next_live, pool[keep]
+        if not live:
+            break
+        if completed and max(c.logprob for c in completed) >= scores[0]:
+            break
+        reindex_cache(cache, [idx // n_classes for idx in keep])
+    for seq, score in zip(live, scores.tolist()):
+        completed.append(DecodeResult(char_decode(seq), score, False))
+    completed.sort(key=lambda r: -r.logprob)
+    return completed[:width]
 
 
 def greedy_decode(p, cfg: ModelConfig, src_ids, max_len: int | None = None) -> DecodeResult:
     """Argmax characters until EOS or ``max_len`` emitted symbols."""
-    if max_len is None:
-        max_len = cfg.max_tgt_len
-    memory = encode(p, cfg, src_ids)
-    prefix = [BOS_ID]
-    total = 0.0
-    for _ in range(max_len):
-        logp = _step_logprobs(p, cfg, memory, prefix)
-        cls = int(np.argmax(logp))
-        total += float(logp[cls])
-        tok = id_of_class(cls)
-        prefix.append(tok)
-        if cls == 0:  # EOS is class 0
-            return DecodeResult(char_decode(prefix), total, True)
-    return DecodeResult(char_decode(prefix), total, False)
+    return _search(p, cfg, src_ids, 1, max_len)[0]
 
 
 def beam_decode(p, cfg: ModelConfig, src_ids, beam_width: int,
                 max_len: int | None = None) -> list[DecodeResult]:
-    """Length-unnormalized beam search; returns results sorted by logprob.
-
-    Each step expands every live prefix by all classes and keeps the global
-    top ``beam_width`` candidates; candidates ending in EOS retire to the
-    completed pool. Search stops once the best live score cannot beat the
-    best completed one (scores only decrease along a path).
-    """
+    """Beam search of width ``beam_width``; returns results sorted by logprob."""
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
-    if max_len is None:
-        max_len = cfg.max_tgt_len
-    memory = encode(p, cfg, src_ids)
-    live: list[tuple[list[int], float]] = [([BOS_ID], 0.0)]
-    completed: list[DecodeResult] = []
-    for _ in range(max_len):
-        pool = []
-        for prefix, score in live:
-            logp = _step_logprobs(p, cfg, memory, prefix)
-            for cls in range(logp.shape[0]):
-                pool.append((prefix, score + float(logp[cls]), cls))
-        pool.sort(key=lambda c: -c[1])  # stable: earlier prefix and class win ties
-        live = []
-        for prefix, score, cls in pool[:beam_width]:
-            seq = prefix + [id_of_class(cls)]
-            if cls == 0:
-                completed.append(DecodeResult(char_decode(seq), score, True))
-            else:
-                live.append((seq, score))
-        if not live:
-            break
-        if completed and max(c.logprob for c in completed) >= live[0][1]:
-            break
-    for prefix, score in live:
-        completed.append(DecodeResult(char_decode(prefix), score, False))
-    completed.sort(key=lambda r: -r.logprob)
-    return completed[:beam_width]
+    return _search(p, cfg, src_ids, beam_width, max_len)
 
 
 def predict_name(p, cfg: ModelConfig, bpe, text: str, beam_width: int = 1,

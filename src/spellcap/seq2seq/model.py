@@ -11,6 +11,7 @@ heads, F for d_ff, C for output classes.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -184,23 +185,33 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
+# ``weights`` holds the softmax rows [B, H, query, key]
+AttentionCache = namedtuple("AttentionCache", "xq xkv q k v weights ctx scale")
+
+
+def _attend(q, k, v, mask):
+    """Softmax attention of head-split queries over keys and values; ``mask``
+    is a broadcastable boolean with True at attendable (query, key) pairs, or
+    None when every pair is. Returns (weights, merged context, scale)."""
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    scores = (q @ k.swapaxes(-1, -2)) * scale
+    if mask is not None:
+        scores = np.where(mask, scores, -np.inf)
+    scores -= scores.max(-1, keepdims=True)
+    expd = np.exp(scores)
+    weights = expd / expd.sum(-1, keepdims=True)
+    return weights, _merge_heads(weights @ v), scale
+
+
 def _attention_f(xq, xkv, p, prefix, n_heads, mask):
-    """Multi-head attention; ``mask`` is a broadcastable boolean with True at
-    attendable (query, key) pairs."""
+    """Multi-head attention of ``xq`` over ``xkv`` (see ``_attend`` for ``mask``)."""
     wq, wk, wv, wo = (p[f"{prefix}.{w}"] for w in ("wq", "wk", "wv", "wo"))
     q = _split_heads(xq @ wq, n_heads)
     k = _split_heads(xkv @ wk, n_heads)
     v = _split_heads(xkv @ wv, n_heads)
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = (q @ k.swapaxes(-1, -2)) * scale
-    scores = np.where(mask, scores, -np.inf)
-    scores -= scores.max(-1, keepdims=True)
-    expd = np.exp(scores)
-    weights = expd / expd.sum(-1, keepdims=True)
-    ctx = _merge_heads(weights @ v)
+    weights, ctx, scale = _attend(q, k, v, mask)
     y = ctx @ wo
-    cache = (xq, xkv, q, k, v, weights, ctx, scale)
-    return y, cache
+    return y, AttentionCache(xq, xkv, q, k, v, weights, ctx, scale)
 
 
 def _attention_b(dy, cache, p, prefix, grads):
@@ -245,12 +256,14 @@ def _ffn_b(dy, cache, p, prefix, grads):
     return dz @ p[f"{prefix}.w1"].T
 
 
-def _embed_f(p, cfg, ids, rng):
+def _embed_f(p, cfg, ids, rng, start=0):
+    """Scaled embeddings plus the positional encoding of positions
+    ``start .. start + ids.shape[1] - 1``."""
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError("token id outside [0, vocab_size)")
     scale = math.sqrt(cfg.d_model)
     x = p["embedding"][ids] * scale
-    x = x + positional_encoding(ids.shape[1], cfg.d_model)[None]
+    x = x + positional_encoding(start + ids.shape[1], cfg.d_model)[None, start:]
     x, mask = _dropout_f(x, cfg.dropout, rng)
     return x, (ids, scale, mask)
 
@@ -264,6 +277,9 @@ def _embed_b(dx, cache, grads):
 # ------------------------------------------------------------ encoder stack
 
 
+EncoderLayerCache = namedtuple("EncoderLayerCache", "ln1 attn drop1 ln2 ffn drop2")
+
+
 def _encoder_layer_f(x, p, prefix, cfg, mask, rng):
     a, c_ln1 = _layer_norm_f(x, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
     sa, c_att = _attention_f(a, a, p, f"{prefix}.attn", cfg.n_heads, mask)
@@ -272,7 +288,7 @@ def _encoder_layer_f(x, p, prefix, cfg, mask, rng):
     f, c_ln2 = _layer_norm_f(x1, p[f"{prefix}.ln2.gain"], p[f"{prefix}.ln2.bias"])
     ff, c_ffn = _ffn_f(f, p, f"{prefix}.ffn")
     ff, m2 = _dropout_f(ff, cfg.dropout, rng)
-    return x1 + ff, (c_ln1, c_att, m1, c_ln2, c_ffn, m2)
+    return x1 + ff, EncoderLayerCache(c_ln1, c_att, m1, c_ln2, c_ffn, m2)
 
 
 def _encoder_layer_b(dy, cache, p, prefix, grads):
@@ -315,6 +331,10 @@ def _encode_b(dmem, caches, p, cfg, grads):
 # ------------------------------------------------------------ decoder stack
 
 
+DecoderLayerCache = namedtuple(
+    "DecoderLayerCache", "ln1 self_attn drop1 ln2 cross_attn drop2 ln3 ffn drop3")
+
+
 def _decoder_layer_f(y, memory, p, prefix, cfg, causal, src_mask, rng):
     a, c_ln1 = _layer_norm_f(y, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
     sa, c_self = _attention_f(a, a, p, f"{prefix}.self_attn", cfg.n_heads, causal)
@@ -327,7 +347,8 @@ def _decoder_layer_f(y, memory, p, prefix, cfg, causal, src_mask, rng):
     f, c_ln3 = _layer_norm_f(y2, p[f"{prefix}.ln3.gain"], p[f"{prefix}.ln3.bias"])
     ff, c_ffn = _ffn_f(f, p, f"{prefix}.ffn")
     ff, m3 = _dropout_f(ff, cfg.dropout, rng)
-    return y2 + ff, (c_ln1, c_self, m1, c_ln2, c_cross, m2, c_ln3, c_ffn, m3)
+    return y2 + ff, DecoderLayerCache(c_ln1, c_self, m1, c_ln2, c_cross, m2,
+                                      c_ln3, c_ffn, m3)
 
 
 def _decoder_layer_b(dy, cache, p, prefix, grads):
@@ -506,15 +527,79 @@ def encode(p, cfg: ModelConfig, src_ids) -> np.ndarray:
     return memory[0]
 
 
-def decoder_forward(p, cfg: ModelConfig, memory, tgt_prefix) -> np.ndarray:
-    """Next-character logits [len(prefix), n_classes] for one prefix."""
-    if len(tgt_prefix) == 0 or tgt_prefix[0] != BOS_ID:
-        raise ValueError("target prefix must start with BOS")
+# One decoder layer's keys and values, split into heads [rows, H, len, dh].
+# Rows are hypotheses of one utterance. The self-attention entries cover the
+# target positions decoded so far; the cross-attention entries cover the
+# encoder memory and have a single row that every hypothesis shares.
+LayerKV = namedtuple("LayerKV", "self_k self_v cross_k cross_v")
+
+
+def decoder_cache(p, cfg: ModelConfig, memory) -> list[LayerKV]:
+    """A one-row cache holding no target position yet, for ``memory``
+    [len(src), d_model]; the cross-attention K/V are projected here, once."""
     mem = np.asarray(memory, dtype=np.float64)[None]
-    valid = np.ones(mem.shape[:2], dtype=bool)
-    tgt = np.asarray([tgt_prefix], dtype=np.int64)
-    logits, _ = _decode_f(p, cfg, mem, valid, tgt, None)
-    return logits[0]
+    empty = np.zeros((1, cfg.n_heads, 0, cfg.d_model // cfg.n_heads))
+    cache = []
+    for i in range(cfg.n_layers):
+        prefix = f"decoder.{i}.cross_attn"
+        cache.append(LayerKV(
+            empty, empty,
+            _split_heads(mem @ p[f"{prefix}.wk"], cfg.n_heads),
+            _split_heads(mem @ p[f"{prefix}.wv"], cfg.n_heads),
+        ))
+    return cache
+
+
+def reindex_cache(cache: list[LayerKV], rows) -> None:
+    """Keep, in place, the self-attention rows ``rows`` (in that order; a row
+    may repeat), e.g. the parent of every hypothesis that survived a search
+    step."""
+    cache[:] = [kv._replace(self_k=kv.self_k[rows], self_v=kv.self_v[rows])
+                for kv in cache]
+
+
+def _decode_positions(p, cfg, cache, ids):
+    """Logits [rows, n, C] for ``ids`` [rows, n], the next n positions of every
+    cached row; appends their self-attention K/V to ``cache`` in place."""
+    start = cache[0].self_k.shape[2]
+    n = ids.shape[1]
+    y, _ = _embed_f(p, cfg, ids, None, start)
+    causal = np.tri(n, start + n, start, dtype=bool) if n > 1 else None
+    for i, kv in enumerate(cache):
+        prefix = f"decoder.{i}"
+        a, _ = _layer_norm_f(y, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
+        sa = f"{prefix}.self_attn"
+        q = _split_heads(a @ p[f"{sa}.wq"], cfg.n_heads)
+        k = np.concatenate([kv.self_k, _split_heads(a @ p[f"{sa}.wk"], cfg.n_heads)], 2)
+        v = np.concatenate([kv.self_v, _split_heads(a @ p[f"{sa}.wv"], cfg.n_heads)], 2)
+        cache[i] = kv._replace(self_k=k, self_v=v)
+        y = y + _attend(q, k, v, causal)[1] @ p[f"{sa}.wo"]
+        c, _ = _layer_norm_f(y, p[f"{prefix}.ln2.gain"], p[f"{prefix}.ln2.bias"])
+        ca = f"{prefix}.cross_attn"
+        q = _split_heads(c @ p[f"{ca}.wq"], cfg.n_heads)
+        y = y + _attend(q, kv.cross_k, kv.cross_v, None)[1] @ p[f"{ca}.wo"]
+        f, _ = _layer_norm_f(y, p[f"{prefix}.ln3.gain"], p[f"{prefix}.ln3.bias"])
+        y = y + _ffn_f(f, p, f"{prefix}.ffn")[0]
+    yn, _ = _layer_norm_f(y, p["decoder.norm.gain"], p["decoder.norm.bias"])
+    return yn @ p["output.weight"] + p["output.bias"]
+
+
+def decoder_forward(p, cfg: ModelConfig, memory, tokens, cache=None) -> np.ndarray:
+    """Next-character logits, computing only the positions in ``tokens``.
+
+    Without ``cache``: ``tokens`` is one target prefix starting with BOS;
+    returns logits [len(prefix), n_classes], one row per prefix position.
+    With a ``cache`` from ``decoder_cache`` (``memory`` is then not read):
+    ``tokens`` holds the next token of every cached row; returns logits
+    [rows, n_classes] for that one new position and extends ``cache``.
+    """
+    if cache is None:
+        if len(tokens) == 0 or tokens[0] != BOS_ID:
+            raise ValueError("target prefix must start with BOS")
+        ids = np.asarray([tokens], dtype=np.int64)
+        return _decode_positions(p, cfg, decoder_cache(p, cfg, memory), ids)[0]
+    ids = np.asarray(tokens, dtype=np.int64)[:, None]
+    return _decode_positions(p, cfg, cache, ids)[:, 0]
 
 
 def forward_details(p, cfg: ModelConfig, src_ids, tgt_ids):
@@ -528,7 +613,7 @@ def forward_details(p, cfg: ModelConfig, src_ids, tgt_ids):
         "memory": memory[0],
         "logits": logits[0],
         "labels": labels[0],
-        "enc_attn": [c[1][5][0] for c in enc_layers],
-        "dec_self_attn": [c[1][5][0] for c in dec_layers],
-        "dec_cross_attn": [c[4][5][0] for c in dec_layers],
+        "enc_attn": [c.attn.weights[0] for c in enc_layers],
+        "dec_self_attn": [c.self_attn.weights[0] for c in dec_layers],
+        "dec_cross_attn": [c.cross_attn.weights[0] for c in dec_layers],
     }

@@ -73,3 +73,53 @@ def fd_gradient(loss_fn, params, path, coords, h=1e-4):
         flat[c] = keep
         out.append((up - down) / (2.0 * h))
     return out
+
+
+def greedy_search(next_logprobs, max_len):
+    """Argmax decoding that rescores the whole prefix at every step.
+
+    ``next_logprobs(classes)`` returns the log-probabilities of the class that
+    follows the emitted ``classes``; class 0 is EOS. Returns
+    ``(classes, logprob, reached_eos)`` with EOS left out of ``classes``.
+    """
+    classes, total = [], 0.0
+    for _ in range(max_len):
+        logp = next_logprobs(classes)
+        cls = max(range(len(logp)), key=lambda c: logp[c])  # first maximum
+        total += float(logp[cls])
+        if cls == 0:
+            return classes, total, True
+        classes.append(cls)
+    return classes, total, False
+
+
+def beam_search(next_logprobs, beam_width, max_len):
+    """Beam search that rescores every live prefix from scratch at each step.
+
+    Candidates are ranked by a stable sort, so the earlier prefix and then the
+    lower class win ties; EOS candidates retire to the completed pool, and the
+    search stops once no live score can beat the best completed one. Returns
+    up to ``beam_width`` ``(classes, logprob, reached_eos)``, best first.
+    """
+    live = [([], 0.0)]
+    completed = []
+    for _ in range(max_len):
+        pool = []
+        for classes, score in live:
+            logp = next_logprobs(classes)
+            for cls in range(len(logp)):
+                pool.append((classes, score + float(logp[cls]), cls))
+        pool.sort(key=lambda c: -c[1])
+        live = []
+        for classes, score, cls in pool[:beam_width]:
+            if cls == 0:
+                completed.append((classes, score, True))
+            else:
+                live.append((classes + [cls], score))
+        if not live:
+            break
+        if completed and max(c[1] for c in completed) >= live[0][1]:
+            break
+    completed += [(classes, score, False) for classes, score in live]
+    completed.sort(key=lambda c: -c[1])
+    return completed[:beam_width]

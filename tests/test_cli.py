@@ -226,6 +226,40 @@ def test_predict_raw_text_stdin(pipeline, capsys, monkeypatch):
     assert [r.gold for r in results] == ["-", "-"]
 
 
+def test_predict_raw_text_is_lowercased(pipeline, capsys, monkeypatch):
+    import io
+    outs = []
+    for text in ("TOM T O M\nVera V E R A\n", "tom t o m\nvera v e r a\n"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        out = pipeline["root"] / f"case{len(outs)}.tsv"
+        code, _, _ = run(capsys, "predict", "--checkpoint", str(pipeline["ckpt"]),
+                         "--input", "-", "--out", str(out))
+        assert code == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+
+
+def test_predict_invalid_utf8_exits_3(pipeline, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"v e r a\n\xff\xfe j o n\n")
+    code, _, err = run(capsys, "predict", "--checkpoint", str(pipeline["ckpt"]),
+                       "--input", str(bad), "--out", str(tmp_path / "x.tsv"))
+    assert code == 3 and "UTF-8" in err
+
+
+@pytest.mark.parametrize("lines, line_no", [
+    (["v e r a", "a " * 200], 2),
+    (["1|v/0.9 e/0.9|vera", "2|v/0.5|vera", "1|" + "a/0.9 " * 200 + "|ann"], 3),
+])
+def test_predict_overlong_utterance_exits_3_with_line(pipeline, tmp_path, capsys,
+                                                      lines, line_no):
+    text = tmp_path / "long.txt"
+    text.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "predict", "--checkpoint", str(pipeline["ckpt"]),
+                       "--input", str(text), "--out", str(tmp_path / "x.tsv"))
+    assert code == 3 and f"line {line_no}:" in err and "max_src_len" in err
+
+
 def test_predict_dataset_stdin_is_sniffed(pipeline, capsys, monkeypatch):
     import io
     text = pipeline["dev"].read_text()

@@ -12,6 +12,8 @@ from spellcap.seq2seq import (
 from spellcap.seq2seq.model import _log_softmax, decoder_forward, encode, id_of_class
 from spellcap.tokenizer import BOS_ID, char_decode
 
+from oracles import beam_search, greedy_search
+
 
 CFG = ModelConfig(
     vocab_size=40, n_layers=2, n_heads=2, d_model=8, d_ff=16,
@@ -72,6 +74,41 @@ def test_wide_beam_matches_exhaustive_search(seed):
         top = beam_decode(params, CFG, src, 900, max_len=2)[0]
         assert abs(top.logprob - want_score) < 1e-9
         assert top.name == want_name
+
+
+def full_recompute_scorer(params, cfg, src):
+    """The reference's next-class log-probabilities: one uncached decoder
+    pass over the whole prefix per call."""
+    memory = encode(params, cfg, src)
+
+    def next_logprobs(classes):
+        prefix = [BOS_ID] + [id_of_class(c) for c in classes]
+        return _log_softmax(decoder_forward(params, cfg, memory, prefix)[-1])
+
+    return next_logprobs
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("eos_bias", [0.0, 3.0])
+@pytest.mark.parametrize("max_len", [None, 3])
+def test_search_matches_full_recompute_reference(seed, eos_bias, max_len):
+    # an EOS bias makes hypotheses finish early, so retiring to the completed
+    # pool and the early stop run too
+    params = init_parameters(CFG, seed=seed)
+    params["output.bias"][0] += eos_bias
+    limit = CFG.max_tgt_len if max_len is None else max_len
+    for src in random_sources(seed + 30, 4):
+        ref = full_recompute_scorer(params, CFG, src)
+        want = [greedy_search(ref, limit)]
+        got = [greedy_decode(params, CFG, src, max_len)]
+        for width in range(1, 6):
+            want += beam_search(ref, width, limit)
+            got += beam_decode(params, CFG, src, width, max_len)
+        assert len(got) == len(want)
+        for g, (classes, logprob, reached_eos) in zip(got, want):
+            assert g.name == char_decode([BOS_ID] + [id_of_class(c) for c in classes])
+            assert g.reached_eos == reached_eos
+            assert abs(g.logprob - logprob) <= 1e-9
 
 
 def test_beam_results_ranked_descending():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spellcap.errors import ConfigError
 from spellcap.seq2seq import model as M
@@ -79,6 +81,41 @@ def test_causality_future_tokens_do_not_leak(params):
     lb = M.decoder_forward(params, TINY, memory, tgt_b[:-1])
     assert np.max(np.abs(la[:3] - lb[:3])) <= 1e-9
     assert np.max(np.abs(la[3:] - lb[3:])) > 1e-6
+
+
+@given(n_layers=st.integers(1, 3), n_heads=st.integers(1, 4),
+       head_dim=st.integers(2, 4), max_tgt_len=st.integers(1, 12),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_cached_steps_match_full_prefix(n_layers, n_heads, head_dim, max_tgt_len, seed):
+    cfg = M.ModelConfig(vocab_size=40, n_layers=n_layers, n_heads=n_heads,
+                        d_model=n_heads * head_dim, d_ff=12, dropout=0.0,
+                        max_src_len=16, max_tgt_len=max_tgt_len)
+    params = M.init_parameters(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    src = list(rng.integers(4, 36, size=int(rng.integers(1, 9))))
+    memory = M.encode(params, cfg, src)
+
+    def continuation(n):
+        return [M.id_of_class(int(c)) for c in rng.integers(1, M.N_CLASSES, size=n)]
+
+    prefixes = [[1] + continuation(max_tgt_len - 1)]
+    # the uncached call agrees with the training forward pass at every position
+    teacher = M.forward_details(params, cfg, src, prefixes[0] + [2])["logits"]
+    full = M.decoder_forward(params, cfg, memory, prefixes[0])
+    assert np.max(np.abs(full - teacher)) <= 1e-12
+    cache = M.decoder_cache(params, cfg, memory)
+    for t in range(max_tgt_len):
+        step = M.decoder_forward(params, cfg, memory, [pre[t] for pre in prefixes], cache)
+        assert step.shape == (len(prefixes), M.N_CLASSES)
+        for row, pre in zip(step, prefixes):
+            full = M.decoder_forward(params, cfg, memory, pre[: t + 1])
+            assert np.max(np.abs(row - full[-1])) <= 1e-12
+        # keep, repeat, reorder and drop rows as a beam's pruning would; every
+        # surviving row carries on from its parent's history
+        parents = [int(r) for r in rng.integers(0, len(prefixes), size=int(rng.integers(1, 5)))]
+        M.reindex_cache(cache, parents)
+        prefixes = [prefixes[r][: t + 1] + continuation(max_tgt_len - t - 1) for r in parents]
 
 
 def test_attention_rows_are_distributions(params):
