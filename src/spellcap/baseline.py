@@ -115,7 +115,7 @@ def baseline_predict(nbest) -> Prediction:
 
 def edit_distance(a: str, b: str) -> int:
     """Unit-cost Levenshtein distance between two strings."""
-    return int(kernels.levenshtein_ids(kernels.codepoints(a), kernels.codepoints(b)))
+    return kernels.levenshtein_ids(a, b)
 
 
 def edit_distance_confidence(pred: Prediction, hyp: AsrHypothesis) -> float:

@@ -228,13 +228,10 @@ def cmd_train(args) -> int:
 
 
 def _read_input_lines(spec_path) -> list:
-    try:
-        if spec_path == "-":
-            return sys.stdin.read().splitlines()
-        with open(spec_path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except UnicodeDecodeError as e:
-        raise DataFormatError(f"input {spec_path} is not valid UTF-8: {e}") from None
+    if spec_path == "-":
+        return sys.stdin.read().splitlines()
+    with open(spec_path, encoding="utf-8") as fh:
+        return fh.read().splitlines()
 
 
 def cmd_predict(args) -> int:
@@ -401,6 +398,9 @@ def main(argv=None) -> int:
         return 4
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except UnicodeDecodeError as e:
+        print(f"error: input is not valid UTF-8: {e}", file=sys.stderr)
         return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

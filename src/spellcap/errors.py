@@ -14,7 +14,7 @@ class ConfigError(SpellcapError, ValueError):
 
 
 class DataFormatError(SpellcapError, ValueError):
-    """Malformed file content (dataset lines, vocab/merges files, checkpoints)."""
+    """Malformed file content (dataset lines, results files, checkpoint manifests)."""
 
     def __init__(self, message: str, line_no: int | None = None):
         if line_no is not None:

@@ -51,11 +51,7 @@ def word_error_rate(hyp_words, ref_words) -> float:
     """(substitutions + insertions + deletions) / reference length."""
     if not ref_words:
         raise ValueError("empty reference")
-    ids: dict = {}
-    encode = lambda ws: np.array([ids.setdefault(w, len(ids)) for w in ws],
-                                 dtype=np.int32)
-    h, r = encode(hyp_words), encode(ref_words)
-    return int(levenshtein_ids(h, r)) / len(ref_words)
+    return levenshtein_ids(hyp_words, ref_words) / len(ref_words)
 
 
 def er_curve(results, n_points: int = 101) -> list:

@@ -1,118 +1,22 @@
-"""Hot loops with numba-compiled and pure-numpy variants.
-
-Two kernels live here: the Levenshtein DP (used for character edit distance
-and word-level WER alignment) and the fused Adam parameter update (called for
-every tensor on every step). Each has a numba ``@njit`` build and a vectorized
-numpy fallback. Selection happens once at import: ``SPELLCAP_NUMBA=0`` (or
-``false``/``no``/``off``) forces the fallback, and a missing numba install
-falls back silently. ``benchmarks/bench_kernels.py`` times both.
-"""
-
-import math
-import os
-
-import numpy as np
-
-_FALSY = {"0", "false", "no", "off"}
+"""Unit-cost Levenshtein distance, shared by character edit distance and WER."""
 
 
-def _numba_wanted() -> bool:
-    return os.environ.get("SPELLCAP_NUMBA", "1").strip().lower() not in _FALSY
+def levenshtein_ids(a, b) -> int:
+    """Edit distance between two sequences (strings, or lists of words).
 
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    HAS_NUMBA = False
-
-NUMBA_ACTIVE = HAS_NUMBA and _numba_wanted()
-
-
-def codepoints(s: str) -> np.ndarray:
-    """Unicode codepoints of ``s`` as an int32 array (empty string -> empty)."""
-    return np.fromiter(map(ord, s), dtype=np.int32, count=len(s))
-
-
-def _levenshtein_loops(a, b):
-    # Two-row DP, unit costs. Same body runs jitted or plain.
-    n = a.size
-    m = b.size
-    prev = np.arange(m + 1, dtype=np.int64)
-    cur = np.empty(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        cur[0] = i
-        ai = a[i - 1]
-        for j in range(1, m + 1):
-            cost = 0 if ai == b[j - 1] else 1
-            best = prev[j] + 1
-            if cur[j - 1] + 1 < best:
-                best = cur[j - 1] + 1
-            if prev[j - 1] + cost < best:
-                best = prev[j - 1] + cost
-            cur[j] = best
-        prev, cur = cur, prev
-    return int(prev[m])
-
-
-def levenshtein_ids_py(a: np.ndarray, b: np.ndarray) -> int:
-    """Vectorized row-sweep DP.
-
-    The in-row dependency new[j] = min(new[j-1]+1, t[j]) collapses to a
-    running minimum: new[j] = min_{k<=j} (t[k] + j - k), computed with
-    minimum.accumulate over t - arange.
+    Two-row DP: ``prev`` is row i-1 and ``left`` the cell just filled in row i.
     """
-    n, m = a.size, b.size
-    if m == 0:
-        return int(n)
-    offs = np.arange(1, m + 1, dtype=np.int64)
-    prev = np.arange(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        t = np.minimum(prev[1:] + 1, prev[:-1] + (a[i - 1] != b))
-        t = np.minimum(t, i + offs)  # insertion chain may start at column 0
-        new = np.minimum.accumulate(t - offs) + offs
-        prev[0] = i
-        prev[1:] = new
-    return int(prev[m])
-
-
-def _adam_loops(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
-    # Fused single pass; bc1/bc2 are the bias-correction denominators.
-    for i in range(p.size):
-        mi = beta1 * m[i] + (1.0 - beta1) * g[i]
-        vi = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i]
-        m[i] = mi
-        v[i] = vi
-        p[i] -= lr * (mi / bc1) / (math.sqrt(vi / bc2) + eps)
-
-
-def adam_update_py(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
-    """In-place Adam step on flat float64 views (numpy build)."""
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * g * g
-    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-
-if HAS_NUMBA:
-    levenshtein_ids_nb = njit("int64(int32[::1], int32[::1])", cache=True)(
-        _levenshtein_loops
-    )
-    adam_update_nb = njit(
-        "void(float64[::1], float64[::1], float64[::1], float64[::1],"
-        " float64, float64, float64, float64, float64, float64)",
-        cache=True,
-    )(_adam_loops)
-else:  # pragma: no cover
-    levenshtein_ids_nb = None
-    adam_update_nb = None
-
-if NUMBA_ACTIVE:
-    levenshtein_ids = levenshtein_ids_nb
-    adam_update = adam_update_nb
-else:
-    levenshtein_ids = levenshtein_ids_py
-    adam_update = adam_update_py
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        row = [i]
+        left = i
+        for y, diag, up in zip(b, prev, prev[1:]):
+            best = diag if x == y else diag + 1
+            if up + 1 < best:
+                best = up + 1
+            if left + 1 < best:
+                best = left + 1
+            row.append(best)
+            left = best
+        prev = row
+    return prev[-1]

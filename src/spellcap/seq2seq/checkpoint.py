@@ -4,7 +4,9 @@ The manifest records the model config, optional tokenizer, optional extras,
 the storage dtype, and per-tensor path/shape/byte-offset entries in write
 order. Model checkpoints default to float32 storage; training resume state
 uses the same container at float64 plus ``adam.*``/``best.*`` tensors, so a
-resumed run continues bit-exactly. Loading rejects manifest/shape mismatches.
+resumed run continues bit-exactly. Loading rejects a malformed manifest
+(missing or unknown config keys, ill-typed tensor entries) with
+DataFormatError and config/shape mismatches with ConfigError.
 """
 
 import json
@@ -45,6 +47,17 @@ def _write(path, manifest: dict, tensors: dict[str, np.ndarray], dtype_name: str
             f.write(raw)
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _is_entry(entry) -> bool:
+    return (isinstance(entry, dict) and isinstance(entry.get("path"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(map(_is_count, entry["shape"]))
+            and _is_count(entry.get("offset")) and _is_count(entry.get("nbytes")))
+
+
 def _read(path):
     with open(path, "rb") as f:
         blob = f.read()
@@ -55,15 +68,19 @@ def _read(path):
         manifest = json.loads(blob[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataFormatError(f"unreadable manifest: {e}") from e
-    if manifest.get("format") != _MAGIC:
+    if not isinstance(manifest, dict) or manifest.get("format") != _MAGIC:
         raise DataFormatError("not a spellcap checkpoint")
     dtype_name = manifest.get("dtype")
     if dtype_name not in _DTYPES:
         raise DataFormatError(f"unsupported dtype {dtype_name!r}")
+    entries = manifest.get("tensors")
+    if not isinstance(entries, list) or not all(map(_is_entry, entries)):
+        raise DataFormatError("manifest tensors must be a list of path/shape/"
+                              "offset/nbytes entries with non-negative integers")
     dt = np.dtype(_DTYPES[dtype_name])
     data = blob[nl + 1 :]
     tensors = {}
-    for entry in manifest["tensors"]:
+    for entry in entries:
         shape = tuple(entry["shape"])
         want = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
         if entry["nbytes"] != want:
@@ -111,7 +128,10 @@ class Checkpoint:
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint, checking every core tensor against its config shape."""
     manifest, tensors = _read(path)
-    config = ModelConfig.from_dict(manifest["config"])
+    try:
+        config = ModelConfig.from_dict(manifest["config"])
+    except (KeyError, TypeError) as e:  # missing, non-object, unknown or ill-typed keys
+        raise DataFormatError(f"bad model config in manifest: {e!r}") from None
     params = {}
     for p, shape in param_shapes(config).items():
         if p not in tensors:

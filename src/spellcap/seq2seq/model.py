@@ -507,11 +507,6 @@ def loss_and_gradients(p, cfg: ModelConfig, batch, dropout_rng=None):
     return value, grads
 
 
-def gradients(p, cfg: ModelConfig, batch) -> dict[str, np.ndarray]:
-    """Exact reverse-mode gradient of ``loss`` for every parameter tensor."""
-    return loss_and_gradients(p, cfg, batch)[1]
-
-
 # --------------------------------------------------------- inference surface
 
 

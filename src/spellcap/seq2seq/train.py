@@ -11,7 +11,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .. import kernels
 from ..errors import ConfigError, NumericError
 from ..tokenizer import char_encode
 from .model import ModelConfig, loss_and_gradients, loss_from_logits, pack_batch, _forward
@@ -89,18 +88,14 @@ def adam_step(params, grads, state: TrainState, cfg: TrainConfig) -> None:
     bc1 = 1.0 - cfg.beta1 ** state.adam_t
     bc2 = 1.0 - cfg.beta2 ** state.adam_t
     for path, p in params.items():
-        kernels.adam_update(
-            p.reshape(-1),
-            grads[path].reshape(-1),
-            state.adam_m[path].reshape(-1),
-            state.adam_v[path].reshape(-1),
-            cfg.learning_rate,
-            cfg.beta1,
-            cfg.beta2,
-            cfg.eps,
-            bc1,
-            bc2,
-        )
+        g = grads[path]
+        m = state.adam_m[path]
+        v = state.adam_v[path]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
 
 
 def evaluate(params, model_cfg: ModelConfig, pairs, batch_size: int = 32) -> float:

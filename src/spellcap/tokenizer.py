@@ -218,50 +218,3 @@ def target_alphabet() -> list[int]:
     """Decoder output classes as shared ids: EOS first, then the characters."""
     return [EOS_ID] + [CHAR_IDS[c] for c in TARGET_CHARS]
 
-
-def save_vocab(model: BpeModel, path: str) -> None:
-    """One ``token<TAB>id`` line per entry, in id order."""
-    with open(path, "w", encoding="utf-8") as f:
-        for tok, i in sorted(model.vocab.items(), key=lambda kv: kv[1]):
-            f.write(f"{tok}\t{i}\n")
-
-
-def load_vocab(path: str) -> dict[str, int]:
-    vocab: dict[str, int] = {}
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            tok, sep, num = line.rpartition("\t")
-            if not sep or not num.isdigit():
-                raise DataFormatError("expected token<TAB>id", line_no)
-            if tok in vocab:
-                raise DataFormatError(f"duplicate token {tok!r}", line_no)
-            vocab[tok] = int(num)
-    return vocab
-
-
-def save_merges(model: BpeModel, path: str) -> None:
-    """One ``left right`` line per merge, in learned order."""
-    with open(path, "w", encoding="utf-8") as f:
-        for left, right in model.merges:
-            f.write(f"{left} {right}\n")
-
-
-def load_merges(path: str) -> list[tuple[str, str]]:
-    merges: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise DataFormatError("expected exactly two space-separated tokens", line_no)
-            merges.append((parts[0], parts[1]))
-    return merges
-
-
-def load_model(vocab_path: str, merges_path: str) -> BpeModel:
-    return BpeModel.from_parts(load_vocab(vocab_path), load_merges(merges_path))

@@ -107,12 +107,47 @@ def test_truncated_file_rejected(tmp_path, params):
 
 
 def test_not_a_checkpoint_rejected(tmp_path):
-    (tmp_path / "junk.ckpt").write_bytes(b'{"format": "other"}\n')
-    with pytest.raises(DataFormatError, match="not a spellcap checkpoint"):
-        load_checkpoint(str(tmp_path / "junk.ckpt"))
+    for junk in (b'{"format": "other"}\n', b'["spellcap-checkpoint"]\n'):
+        (tmp_path / "junk.ckpt").write_bytes(junk)
+        with pytest.raises(DataFormatError, match="not a spellcap checkpoint"):
+            load_checkpoint(str(tmp_path / "junk.ckpt"))
     (tmp_path / "empty.ckpt").write_bytes(b"")
     with pytest.raises(DataFormatError):
         load_checkpoint(str(tmp_path / "empty.ckpt"))
+
+
+def _drop_tensors(m):
+    del m["tensors"]
+
+
+def _drop_config(m):
+    del m["config"]
+
+
+def _unknown_config_key(m):
+    m["config"]["attention"] = "sparse"
+
+
+def _string_shape(m):
+    m["tensors"][0]["shape"] = ["8", "40"]
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (_drop_tensors, "manifest tensors"),
+    (_drop_config, "config"),
+    (_unknown_config_key, "attention"),
+    (_string_shape, "manifest tensors"),
+], ids=["no_tensors", "no_config", "unknown_config_key", "string_shape"])
+def test_malformed_manifest_rejected(tmp_path, params, corrupt, match):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), params, CFG)
+    blob = path.read_bytes()
+    nl = blob.find(b"\n")
+    manifest = json.loads(blob[:nl])
+    corrupt(manifest)
+    path.write_bytes(json.dumps(manifest).encode() + blob[nl:])
+    with pytest.raises(DataFormatError, match=match):
+        load_checkpoint(str(path))
 
 
 def test_missing_parameter_rejected(tmp_path, params):

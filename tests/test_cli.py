@@ -4,6 +4,8 @@ Everything runs in-process through cli.main(argv) so exit codes and stdout
 are asserted directly; no subprocesses.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -239,12 +241,34 @@ def test_predict_raw_text_is_lowercased(pipeline, capsys, monkeypatch):
     assert outs[0] == outs[1]
 
 
-def test_predict_invalid_utf8_exits_3(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["predict", "--checkpoint", "{ckpt}", "--input", "{bad}", "--out", "{out}"],
+    ["baseline", "--input", "{bad}", "--out", "{out}"],
+    ["eval", "{bad}"],
+    ["train", "--train", "{bad}", "--out", "{out}"],
+    ["generate", "--lexicon", "{bad}", "--out", "{out}"],
+], ids=lambda argv: argv[0])
+def test_invalid_utf8_exits_3(pipeline, tmp_path, capsys, argv):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"v e r a\n\xff\xfe j o n\n")
-    code, _, err = run(capsys, "predict", "--checkpoint", str(pipeline["ckpt"]),
-                       "--input", str(bad), "--out", str(tmp_path / "x.tsv"))
-    assert code == 3 and "UTF-8" in err
+    paths = {"ckpt": pipeline["ckpt"], "bad": bad, "out": tmp_path / "x.out"}
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 3 and "error: input is not valid UTF-8" in err
+    assert not (tmp_path / "x.out").exists()
+
+
+def test_predict_malformed_checkpoint_manifest_exits_3(pipeline, tmp_path, capsys):
+    blob = pipeline["ckpt"].read_bytes()
+    nl = blob.find(b"\n")
+    manifest = json.loads(blob[:nl])
+    del manifest["tensors"]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(json.dumps(manifest).encode() + blob[nl:])
+    text = tmp_path / "in.txt"
+    text.write_text("v e r a\n")
+    code, _, err = run(capsys, "predict", "--checkpoint", str(bad),
+                       "--input", str(text), "--out", str(tmp_path / "x.tsv"))
+    assert code == 3 and "manifest tensors" in err
 
 
 @pytest.mark.parametrize("lines, line_no", [

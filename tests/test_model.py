@@ -152,7 +152,7 @@ def test_padding_does_not_leak_between_examples(params):
 def test_unused_output_rows_still_get_gradient(params):
     # target uses only classes for a/b; the z column must still move
     batch = [([5, 9], [1, 4, 5, 2])]
-    grads = M.gradients(params, TINY, batch)
+    grads = M.loss_and_gradients(params, TINY, batch)[1]
     z_cls = M.class_of_id(29)
     assert np.abs(grads["output.weight"][:, z_cls]).max() > 0.0
     assert abs(grads["output.bias"][z_cls]) > 0.0
@@ -168,7 +168,7 @@ def test_minimal_target_still_trains(params):
 
 def test_gradients_match_finite_differences(params):
     batch = pairs(seed=5, n=3)
-    grads = M.gradients(params, TINY, batch)
+    grads = M.loss_and_gradients(params, TINY, batch)[1]
     rng = np.random.default_rng(0)
     checked = 0
     for path in ("embedding", "encoder.0.attn.wq", "decoder.1.cross_attn.wv",

@@ -168,21 +168,6 @@ def test_target_alphabet_layout():
     assert alpha[-1] == tk.CHAR_IDS["-"]
 
 
-def test_vocab_and_merges_files_roundtrip(tmp_path, small_model):
-    vp = tmp_path / "vocab.tsv"
-    mp = tmp_path / "merges.txt"
-    tk.save_vocab(small_model, str(vp))
-    tk.save_merges(small_model, str(mp))
-    loaded = tk.load_model(str(vp), str(mp))
-    assert loaded.vocab == small_model.vocab
-    assert loaded.merges == small_model.merges
-    # byte-for-byte stable across a save/load/save cycle
-    tk.save_vocab(loaded, str(tmp_path / "vocab2.tsv"))
-    tk.save_merges(loaded, str(tmp_path / "merges2.txt"))
-    assert (tmp_path / "vocab2.tsv").read_bytes() == vp.read_bytes()
-    assert (tmp_path / "merges2.txt").read_bytes() == mp.read_bytes()
-
-
 def test_manifest_roundtrip(small_model):
     again = tk.BpeModel.from_manifest(small_model.to_manifest())
     assert again.vocab == small_model.vocab

@@ -55,6 +55,18 @@ def test_adam_step_moves_every_tensor():
         assert not np.array_equal(params[k], before[k]), k
 
 
+def test_adam_first_step_closed_form():
+    # after one step from zero moments the update is lr * g / (|g| + eps)
+    params = {"w": np.array([1.0, -2.0])}
+    g = np.array([0.5, -0.25])
+    state = TrainState.fresh(params)
+    adam_step(params, {"w": g}, state, TrainConfig(learning_rate=0.1))
+    expect = np.array([1.0, -2.0]) - 0.1 * g / (np.abs(g) + 1e-8)
+    np.testing.assert_allclose(params["w"], expect, rtol=1e-12)
+    np.testing.assert_allclose(state.adam_m["w"], 0.1 * g, rtol=1e-12)
+    np.testing.assert_allclose(state.adam_v["w"], 0.001 * g * g, rtol=1e-12)
+
+
 def test_overfit_single_pair_logprob_approaches_zero():
     params = init_parameters(CFG, seed=7)
     pair = ([4, 32, 4], [1, 4, 2])
