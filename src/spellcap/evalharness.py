@@ -179,6 +179,9 @@ def emit_plot(labeled_points, path) -> None:
         lx = _W - _MR - 170
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 26}" y2="{ly - 4}" '
                    f'stroke="{color}" stroke-width="2"/>')
+        # labels are results-file stems; escaped as xml.sax.saxutils.escape
+        # would, without its import cost on every CLI start
+        label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(f'<text x="{lx + 32}" y="{ly}">{label}</text>')
     out.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

@@ -5,8 +5,9 @@ the storage dtype, and per-tensor path/shape/byte-offset entries in write
 order. Model checkpoints default to float32 storage; training resume state
 uses the same container at float64 plus ``adam.*``/``best.*`` tensors, so a
 resumed run continues bit-exactly. Loading rejects a malformed manifest
-(missing or unknown config keys, ill-typed tensor entries) with
-DataFormatError and config/shape mismatches with ConfigError.
+(missing or unknown config keys; ill-typed tensor entries, tokenizer block,
+extras or resume state) with DataFormatError and config/shape mismatches
+with ConfigError.
 """
 
 import json
@@ -49,6 +50,10 @@ def _write(path, manifest: dict, tensors: dict[str, np.ndarray], dtype_name: str
 
 def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _is_entry(entry) -> bool:
@@ -143,11 +148,14 @@ def load_checkpoint(path) -> Checkpoint:
             )
         params[p] = tensors.pop(p)
     bpe = BpeModel.from_manifest(manifest["bpe"]) if "bpe" in manifest else None
+    extras = manifest.get("extras", {})
+    if not isinstance(extras, dict):
+        raise DataFormatError("manifest extras must be an object")
     return Checkpoint(
         params=params,
         config=config,
         bpe=bpe,
-        extras=manifest.get("extras", {}),
+        extras=extras,
         extra_tensors=tensors,
         dtype=manifest["dtype"],
     )
@@ -178,12 +186,30 @@ def save_train_state(path, params, model_cfg: ModelConfig, state: TrainState,
                     extras=extras, extra_tensors=extra)
 
 
+# train_state field -> its check; history rows are [epoch, train_loss, dev_loss]
+_TRAIN_STATE_FIELDS = {
+    "adam_t": _is_count,
+    "next_epoch": _is_count,
+    "best_dev": lambda x: x is None or _is_number(x),
+    "epochs_since_improve": _is_count,
+    "has_best": lambda x: isinstance(x, bool),
+    "history": lambda rows: isinstance(rows, list) and all(
+        isinstance(r, list) and len(r) == 3 and _is_count(r[0])
+        and all(map(_is_number, r[1:])) for r in rows),
+}
+
+
 def load_train_state(path):
     """Returns (params, model_cfg, state, bpe); inverse of save_train_state."""
     ck = load_checkpoint(path)
     meta = ck.extras.get("train_state")
     if meta is None or ck.dtype != "float64":
         raise DataFormatError("not a training resume checkpoint")
+    if not isinstance(meta, dict):
+        raise DataFormatError("train_state must be an object")
+    for key, ok in _TRAIN_STATE_FIELDS.items():
+        if key not in meta or not ok(meta[key]):
+            raise DataFormatError(f"train_state.{key} missing or ill-typed")
     shapes = param_shapes(ck.config)
 
     def collect(prefix):
@@ -203,6 +229,6 @@ def load_train_state(path):
         best_dev=math.inf if meta["best_dev"] is None else meta["best_dev"],
         epochs_since_improve=meta["epochs_since_improve"],
         best_params=collect("best") if meta["has_best"] else None,
-        history=[EpochStats(int(e), t, d) for e, t, d in meta["history"]],
+        history=[EpochStats(e, t, d) for e, t, d in meta["history"]],
     )
     return ck.params, ck.config, state, ck.bpe

@@ -44,13 +44,12 @@ def _search(p, cfg, src_ids, width, max_len):
     """
     if max_len is None:
         max_len = cfg.max_tgt_len
-    memory = encode(p, cfg, src_ids)
-    cache = decoder_cache(p, cfg, memory)
+    cache = decoder_cache(p, cfg, encode(p, cfg, src_ids))
     live = [[BOS_ID]]
     scores = np.zeros(1)
     completed: list[DecodeResult] = []
     for _ in range(max_len):
-        logp = _log_softmax(decoder_forward(p, cfg, memory, [s[-1] for s in live], cache))
+        logp = _log_softmax(decoder_forward(p, cfg, cache, [s[-1] for s in live]))
         n_classes = logp.shape[1]
         pool = (scores[:, None] + logp).ravel()
         keep, next_live = [], []

@@ -56,43 +56,33 @@ class ModelConfig:
         return cls(**obj)
 
 
-def _attn_paths(prefix):
-    return [f"{prefix}.{w}" for w in ("wq", "wk", "wv", "wo")]
+# A layer of each stack is this list of pre-norm residual sublayers
+# x + dropout(body(layer_norm(x))), as (kind, layer-norm name, body name);
+# kind is "self" (self-attention), "cross" (attention over the encoder
+# memory) or "ffn".
+LAYERS = {
+    "encoder": (("self", "ln1", "attn"), ("ffn", "ln2", "ffn")),
+    "decoder": (("self", "ln1", "self_attn"), ("cross", "ln2", "cross_attn"),
+                ("ffn", "ln3", "ffn")),
+}
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter path with its shape, in canonical (checkpoint) order."""
     d, f = cfg.d_model, cfg.d_ff
     shapes: dict[str, tuple[int, ...]] = {"embedding": (cfg.vocab_size, d)}
-
-    def norm(prefix):
-        shapes[f"{prefix}.gain"] = (d,)
-        shapes[f"{prefix}.bias"] = (d,)
-
-    def attn(prefix):
-        for p in _attn_paths(prefix):
-            shapes[p] = (d, d)
-
-    def ffn(prefix):
-        shapes[f"{prefix}.w1"] = (d, f)
-        shapes[f"{prefix}.b1"] = (f,)
-        shapes[f"{prefix}.w2"] = (f, d)
-        shapes[f"{prefix}.b2"] = (d,)
-
-    for i in range(cfg.n_layers):
-        norm(f"encoder.{i}.ln1")
-        attn(f"encoder.{i}.attn")
-        norm(f"encoder.{i}.ln2")
-        ffn(f"encoder.{i}.ffn")
-    norm("encoder.norm")
-    for i in range(cfg.n_layers):
-        norm(f"decoder.{i}.ln1")
-        attn(f"decoder.{i}.self_attn")
-        norm(f"decoder.{i}.ln2")
-        attn(f"decoder.{i}.cross_attn")
-        norm(f"decoder.{i}.ln3")
-        ffn(f"decoder.{i}.ffn")
-    norm("decoder.norm")
+    for stack, layer in LAYERS.items():
+        for i in range(cfg.n_layers):
+            for kind, ln, body in layer:
+                shapes[f"{stack}.{i}.{ln}.gain"] = shapes[f"{stack}.{i}.{ln}.bias"] = (d,)
+                prefix = f"{stack}.{i}.{body}"
+                if kind == "ffn":
+                    shapes.update({f"{prefix}.w1": (d, f), f"{prefix}.b1": (f,),
+                                   f"{prefix}.w2": (f, d), f"{prefix}.b2": (d,)})
+                else:
+                    shapes.update({f"{prefix}.{w}": (d, d)
+                                   for w in ("wq", "wk", "wv", "wo")})
+        shapes[f"{stack}.norm.gain"] = shapes[f"{stack}.norm.bias"] = (d,)
     shapes["output.weight"] = (d, N_CLASSES)
     shapes["output.bias"] = (N_CLASSES,)
     return shapes
@@ -153,26 +143,28 @@ def _dropout_b(dy, mask):
 _LN_EPS = 1e-5
 
 
-def _layer_norm_f(x, gain, bias):
+def _layer_norm_f(x, p, prefix):
+    """Layer norm with the parameters ``{prefix}.gain`` and ``{prefix}.bias``."""
     mu = x.mean(-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
-    return xhat * gain + bias, (xhat, inv, gain)
+    gain = p[f"{prefix}.gain"]
+    return xhat * gain + p[f"{prefix}.bias"], (prefix, xhat, inv, gain)
 
 
-def _layer_norm_b(dy, cache):
-    xhat, inv, gain = cache
-    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
+def _layer_norm_b(dy, cache, grads):
+    """Adds the gain and bias gradients to ``grads``; returns dx."""
+    prefix, xhat, inv, gain = cache
+    grads[f"{prefix}.gain"] += (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
+    grads[f"{prefix}.bias"] += dy.sum(axis=tuple(range(dy.ndim - 1)))
     dxhat = dy * gain
-    dx = inv * (
+    return inv * (
         dxhat
         - dxhat.mean(-1, keepdims=True)
         - xhat * (dxhat * xhat).mean(-1, keepdims=True)
     )
-    return dx, dg, db
 
 
 def _split_heads(x, n_heads):
@@ -274,135 +266,86 @@ def _embed_b(dx, cache, grads):
     np.add.at(grads["embedding"], ids, dx * scale)
 
 
-# ------------------------------------------------------------ encoder stack
+# ---------------------------------------------------------- encoder, decoder
 
 
-EncoderLayerCache = namedtuple("EncoderLayerCache", "ln1 attn drop1 ln2 ffn drop2")
+# One sublayer's caches: ``ln`` its layer norm's, ``f`` its body's (an
+# AttentionCache or the FFN's), ``drop`` its dropout mask; ``prefix`` names
+# the body's parameters.
+Sublayer = namedtuple("Sublayer", "kind prefix ln f drop")
 
 
-def _encoder_layer_f(x, p, prefix, cfg, mask, rng):
-    a, c_ln1 = _layer_norm_f(x, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
-    sa, c_att = _attention_f(a, a, p, f"{prefix}.attn", cfg.n_heads, mask)
-    sa, m1 = _dropout_f(sa, cfg.dropout, rng)
-    x1 = x + sa
-    f, c_ln2 = _layer_norm_f(x1, p[f"{prefix}.ln2.gain"], p[f"{prefix}.ln2.bias"])
-    ff, c_ffn = _ffn_f(f, p, f"{prefix}.ffn")
-    ff, m2 = _dropout_f(ff, cfg.dropout, rng)
-    return x1 + ff, EncoderLayerCache(c_ln1, c_att, m1, c_ln2, c_ffn, m2)
+def _stack_f(x, p, cfg, stack, rng, self_mask, memory=None, memory_mask=None):
+    """Every layer of ``stack`` over ``x`` (see ``LAYERS``), then the stack's
+    final layer norm; "cross" sublayers attend over ``memory``. Returns
+    (output, sublayer caches in order, final-norm cache)."""
+    caches = []
+    for i in range(cfg.n_layers):
+        for kind, ln, body in LAYERS[stack]:
+            a, c_ln = _layer_norm_f(x, p, f"{stack}.{i}.{ln}")
+            prefix = f"{stack}.{i}.{body}"
+            if kind == "ffn":
+                y, c_f = _ffn_f(a, p, prefix)
+            elif kind == "self":
+                y, c_f = _attention_f(a, a, p, prefix, cfg.n_heads, self_mask)
+            else:
+                y, c_f = _attention_f(a, memory, p, prefix, cfg.n_heads, memory_mask)
+            y, drop = _dropout_f(y, cfg.dropout, rng)
+            x = x + y
+            caches.append(Sublayer(kind, prefix, c_ln, c_f, drop))
+    out, c_norm = _layer_norm_f(x, p, f"{stack}.norm")
+    return out, caches, c_norm
 
 
-def _encoder_layer_b(dy, cache, p, prefix, grads):
-    c_ln1, c_att, m1, c_ln2, c_ffn, m2 = cache
-    dff = _dropout_b(dy, m2)
-    df = _ffn_b(dff, c_ffn, p, f"{prefix}.ffn", grads)
-    dx1, dg, db = _layer_norm_b(df, c_ln2)
-    grads[f"{prefix}.ln2.gain"] += dg
-    grads[f"{prefix}.ln2.bias"] += db
-    dx1 += dy
-    dsa = _dropout_b(dx1, m1)
-    dq, dkv = _attention_b(dsa, c_att, p, f"{prefix}.attn", grads)
-    da, dg, db = _layer_norm_b(dq + dkv, c_ln1)
-    grads[f"{prefix}.ln1.gain"] += dg
-    grads[f"{prefix}.ln1.bias"] += db
-    return dx1 + da
+def _stack_b(dout, caches, c_norm, p, grads):
+    """Backward of ``_stack_f``: returns (dx, dmemory), dmemory None when no
+    sublayer attends over memory."""
+    dx = _layer_norm_b(dout, c_norm, grads)
+    dmem = None
+    for s in reversed(caches):
+        dy = _dropout_b(dx, s.drop)
+        if s.kind == "ffn":
+            da = _ffn_b(dy, s.f, p, s.prefix, grads)
+        else:
+            da, dkv = _attention_b(dy, s.f, p, s.prefix, grads)
+            if s.kind == "self":
+                da = da + dkv
+            else:
+                dmem = dkv if dmem is None else dmem + dkv
+        dx = dx + _layer_norm_b(da, s.ln, grads)
+    return dx, dmem
 
 
 def _encode_f(p, cfg, src, src_valid, rng):
     x, c_emb = _embed_f(p, cfg, src, rng)
-    mask = src_valid[:, None, None, :]
-    layer_caches = []
-    for i in range(cfg.n_layers):
-        x, cache = _encoder_layer_f(x, p, f"encoder.{i}", cfg, mask, rng)
-        layer_caches.append(cache)
-    memory, c_norm = _layer_norm_f(x, p["encoder.norm.gain"], p["encoder.norm.bias"])
-    return memory, (c_emb, layer_caches, c_norm)
+    src_mask = src_valid[:, None, None, :]
+    memory, caches, c_norm = _stack_f(x, p, cfg, "encoder", rng, src_mask)
+    return memory, (c_emb, caches, c_norm)
 
 
-def _encode_b(dmem, caches, p, cfg, grads):
-    c_emb, layer_caches, c_norm = caches
-    dx, dg, db = _layer_norm_b(dmem, c_norm)
-    grads["encoder.norm.gain"] += dg
-    grads["encoder.norm.bias"] += db
-    for i in reversed(range(cfg.n_layers)):
-        dx = _encoder_layer_b(dx, layer_caches[i], p, f"encoder.{i}", grads)
-    _embed_b(dx, c_emb, grads)
-
-
-# ------------------------------------------------------------ decoder stack
-
-
-DecoderLayerCache = namedtuple(
-    "DecoderLayerCache", "ln1 self_attn drop1 ln2 cross_attn drop2 ln3 ffn drop3")
-
-
-def _decoder_layer_f(y, memory, p, prefix, cfg, causal, src_mask, rng):
-    a, c_ln1 = _layer_norm_f(y, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
-    sa, c_self = _attention_f(a, a, p, f"{prefix}.self_attn", cfg.n_heads, causal)
-    sa, m1 = _dropout_f(sa, cfg.dropout, rng)
-    y1 = y + sa
-    c, c_ln2 = _layer_norm_f(y1, p[f"{prefix}.ln2.gain"], p[f"{prefix}.ln2.bias"])
-    ca, c_cross = _attention_f(c, memory, p, f"{prefix}.cross_attn", cfg.n_heads, src_mask)
-    ca, m2 = _dropout_f(ca, cfg.dropout, rng)
-    y2 = y1 + ca
-    f, c_ln3 = _layer_norm_f(y2, p[f"{prefix}.ln3.gain"], p[f"{prefix}.ln3.bias"])
-    ff, c_ffn = _ffn_f(f, p, f"{prefix}.ffn")
-    ff, m3 = _dropout_f(ff, cfg.dropout, rng)
-    return y2 + ff, DecoderLayerCache(c_ln1, c_self, m1, c_ln2, c_cross, m2,
-                                      c_ln3, c_ffn, m3)
-
-
-def _decoder_layer_b(dy, cache, p, prefix, grads):
-    c_ln1, c_self, m1, c_ln2, c_cross, m2, c_ln3, c_ffn, m3 = cache
-    dff = _dropout_b(dy, m3)
-    df = _ffn_b(dff, c_ffn, p, f"{prefix}.ffn", grads)
-    dy2, dg, db = _layer_norm_b(df, c_ln3)
-    grads[f"{prefix}.ln3.gain"] += dg
-    grads[f"{prefix}.ln3.bias"] += db
-    dy2 += dy
-    dca = _dropout_b(dy2, m2)
-    dc, dmem = _attention_b(dca, c_cross, p, f"{prefix}.cross_attn", grads)
-    dy1, dg, db = _layer_norm_b(dc, c_ln2)
-    grads[f"{prefix}.ln2.gain"] += dg
-    grads[f"{prefix}.ln2.bias"] += db
-    dy1 += dy2
-    dsa = _dropout_b(dy1, m1)
-    dq, dkv = _attention_b(dsa, c_self, p, f"{prefix}.self_attn", grads)
-    da, dg, db = _layer_norm_b(dq + dkv, c_ln1)
-    grads[f"{prefix}.ln1.gain"] += dg
-    grads[f"{prefix}.ln1.bias"] += db
-    return dy1 + da, dmem
+def _encode_b(dmem, enc_caches, p, grads):
+    c_emb, caches, c_norm = enc_caches
+    _embed_b(_stack_b(dmem, caches, c_norm, p, grads)[0], c_emb, grads)
 
 
 def _decode_f(p, cfg, memory, src_valid, tgt_in, rng):
     y, c_emb = _embed_f(p, cfg, tgt_in, rng)
     t = tgt_in.shape[1]
     causal = np.tril(np.ones((t, t), dtype=bool))[None, None]
-    src_mask = src_valid[:, None, None, :]
-    layer_caches = []
-    for i in range(cfg.n_layers):
-        y, cache = _decoder_layer_f(
-            y, memory, p, f"decoder.{i}", cfg, causal, src_mask, rng
-        )
-        layer_caches.append(cache)
-    yn, c_norm = _layer_norm_f(y, p["decoder.norm.gain"], p["decoder.norm.bias"])
+    yn, caches, c_norm = _stack_f(y, p, cfg, "decoder", rng, causal,
+                                  memory, src_valid[:, None, None, :])
     logits = yn @ p["output.weight"] + p["output.bias"]
-    return logits, (c_emb, layer_caches, c_norm, yn)
+    return logits, (c_emb, caches, c_norm, yn)
 
 
-def _decode_b(dlogits, caches, p, cfg, grads):
-    c_emb, layer_caches, c_norm, yn = caches
+def _decode_b(dlogits, dec_caches, p, grads):
+    """Returns the gradient of the encoder memory."""
+    c_emb, caches, c_norm, yn = dec_caches
     grads["output.weight"] += np.einsum("btd,btc->dc", yn, dlogits)
     grads["output.bias"] += dlogits.sum((0, 1))
-    dyn = dlogits @ p["output.weight"].T
-    dy, dg, db = _layer_norm_b(dyn, c_norm)
-    grads["decoder.norm.gain"] += dg
-    grads["decoder.norm.bias"] += db
-    dmem_total = None
-    for i in reversed(range(cfg.n_layers)):
-        dy, dmem = _decoder_layer_b(dy, layer_caches[i], p, f"decoder.{i}", grads)
-        dmem_total = dmem if dmem_total is None else dmem_total + dmem
+    dy, dmem = _stack_b(dlogits @ p["output.weight"].T, caches, c_norm, p, grads)
     _embed_b(dy, c_emb, grads)
-    return dmem_total
+    return dmem
 
 
 # ------------------------------------------------------------- batch packing
@@ -502,8 +445,7 @@ def loss_and_gradients(p, cfg: ModelConfig, batch, dropout_rng=None):
     dlogits /= n
 
     grads = {path: np.zeros_like(arr) for path, arr in p.items()}
-    dmem = _decode_b(dlogits, dec_caches, p, cfg, grads)
-    _encode_b(dmem, enc_caches, p, cfg, grads)
+    _encode_b(_decode_b(dlogits, dec_caches, p, grads), enc_caches, p, grads)
     return value, grads
 
 
@@ -553,62 +495,46 @@ def reindex_cache(cache: list[LayerKV], rows) -> None:
                 for kv in cache]
 
 
-def _decode_positions(p, cfg, cache, ids):
-    """Logits [rows, n, C] for ``ids`` [rows, n], the next n positions of every
-    cached row; appends their self-attention K/V to ``cache`` in place."""
-    start = cache[0].self_k.shape[2]
-    n = ids.shape[1]
-    y, _ = _embed_f(p, cfg, ids, None, start)
-    causal = np.tri(n, start + n, start, dtype=bool) if n > 1 else None
+def decoder_forward(p, cfg: ModelConfig, cache, tokens) -> np.ndarray:
+    """Next-character logits [rows, n_classes] for ``tokens``, the next token
+    of every row of ``cache`` (from ``decoder_cache``). Computes only that one
+    new position and appends its self-attention K/V to ``cache`` in place."""
+    ids = np.asarray(tokens, dtype=np.int64)[:, None]
+    y, _ = _embed_f(p, cfg, ids, None, cache[0].self_k.shape[2])
     for i, kv in enumerate(cache):
         prefix = f"decoder.{i}"
-        a, _ = _layer_norm_f(y, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
+        a, _ = _layer_norm_f(y, p, f"{prefix}.ln1")
         sa = f"{prefix}.self_attn"
         q = _split_heads(a @ p[f"{sa}.wq"], cfg.n_heads)
         k = np.concatenate([kv.self_k, _split_heads(a @ p[f"{sa}.wk"], cfg.n_heads)], 2)
         v = np.concatenate([kv.self_v, _split_heads(a @ p[f"{sa}.wv"], cfg.n_heads)], 2)
         cache[i] = kv._replace(self_k=k, self_v=v)
-        y = y + _attend(q, k, v, causal)[1] @ p[f"{sa}.wo"]
-        c, _ = _layer_norm_f(y, p[f"{prefix}.ln2.gain"], p[f"{prefix}.ln2.bias"])
+        y = y + _attend(q, k, v, None)[1] @ p[f"{sa}.wo"]
+        c, _ = _layer_norm_f(y, p, f"{prefix}.ln2")
         ca = f"{prefix}.cross_attn"
         q = _split_heads(c @ p[f"{ca}.wq"], cfg.n_heads)
         y = y + _attend(q, kv.cross_k, kv.cross_v, None)[1] @ p[f"{ca}.wo"]
-        f, _ = _layer_norm_f(y, p[f"{prefix}.ln3.gain"], p[f"{prefix}.ln3.bias"])
+        f, _ = _layer_norm_f(y, p, f"{prefix}.ln3")
         y = y + _ffn_f(f, p, f"{prefix}.ffn")[0]
-    yn, _ = _layer_norm_f(y, p["decoder.norm.gain"], p["decoder.norm.bias"])
-    return yn @ p["output.weight"] + p["output.bias"]
-
-
-def decoder_forward(p, cfg: ModelConfig, memory, tokens, cache=None) -> np.ndarray:
-    """Next-character logits, computing only the positions in ``tokens``.
-
-    Without ``cache``: ``tokens`` is one target prefix starting with BOS;
-    returns logits [len(prefix), n_classes], one row per prefix position.
-    With a ``cache`` from ``decoder_cache`` (``memory`` is then not read):
-    ``tokens`` holds the next token of every cached row; returns logits
-    [rows, n_classes] for that one new position and extends ``cache``.
-    """
-    if cache is None:
-        if len(tokens) == 0 or tokens[0] != BOS_ID:
-            raise ValueError("target prefix must start with BOS")
-        ids = np.asarray([tokens], dtype=np.int64)
-        return _decode_positions(p, cfg, decoder_cache(p, cfg, memory), ids)[0]
-    ids = np.asarray(tokens, dtype=np.int64)[:, None]
-    return _decode_positions(p, cfg, cache, ids)[:, 0]
+    yn, _ = _layer_norm_f(y, p, "decoder.norm")
+    return (yn @ p["output.weight"] + p["output.bias"])[:, 0]
 
 
 def forward_details(p, cfg: ModelConfig, src_ids, tgt_ids):
-    """Attention maps and logits for one pair, for inspection and tests."""
+    """Attention maps and logits for one pair, from the teacher-forced
+    training forward pass, for inspection and tests."""
     src_arr, src_valid, tgt_in, labels = pack_batch([(src_ids, tgt_ids)])
-    memory, enc_caches = _encode_f(p, cfg, src_arr, src_valid, None)
-    logits, dec_caches = _decode_f(p, cfg, memory, src_valid, tgt_in, None)
-    _, enc_layers, _ = enc_caches
-    _, dec_layers, _, _ = dec_caches
+    memory, (_, enc, _) = _encode_f(p, cfg, src_arr, src_valid, None)
+    logits, (_, dec, _, _) = _decode_f(p, cfg, memory, src_valid, tgt_in, None)
+
+    def weights(caches, kind):
+        return [s.f.weights[0] for s in caches if s.kind == kind]
+
     return {
         "memory": memory[0],
         "logits": logits[0],
         "labels": labels[0],
-        "enc_attn": [c.attn.weights[0] for c in enc_layers],
-        "dec_self_attn": [c.self_attn.weights[0] for c in dec_layers],
-        "dec_cross_attn": [c.cross_attn.weights[0] for c in dec_layers],
+        "enc_attn": weights(enc, "self"),
+        "dec_self_attn": weights(dec, "self"),
+        "dec_cross_attn": weights(dec, "cross"),
     }

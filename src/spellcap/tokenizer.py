@@ -78,9 +78,18 @@ class BpeModel:
         }
 
     @classmethod
-    def from_manifest(cls, obj: dict) -> "BpeModel":
-        merges = [tuple(p) for p in obj["merges"]]
-        return cls.from_parts(obj["vocab"], merges)
+    def from_manifest(cls, obj) -> "BpeModel":
+        """Inverse of ``to_manifest``; a malformed block is a DataFormatError."""
+        if not isinstance(obj, dict):
+            raise DataFormatError("bpe block must be an object")
+        vocab, merges = obj.get("vocab"), obj.get("merges")
+        if not isinstance(vocab, dict) or not all(type(i) is int for i in vocab.values()):
+            raise DataFormatError("bpe vocab must map tokens to integer ids")
+        if not isinstance(merges, list) or not all(
+                isinstance(m, list) and len(m) == 2 and all(isinstance(t, str) for t in m)
+                for m in merges):
+            raise DataFormatError("bpe merges must be a list of two-string pairs")
+        return cls.from_parts(vocab, [tuple(m) for m in merges])
 
 
 def _base_vocab() -> dict[str, int]:

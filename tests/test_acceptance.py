@@ -36,8 +36,6 @@ from spellcap.seq2seq import (
     ModelConfig,
     TrainConfig,
     beam_decode,
-    decoder_forward,
-    encode,
     forward_details,
     greedy_decode,
     init_parameters,
@@ -49,7 +47,7 @@ from spellcap.seq2seq import (
     save_checkpoint,
     train,
 )
-from spellcap.tokenizer import BOS_ID, char_encode, learn_bpe
+from spellcap.tokenizer import char_encode, learn_bpe
 
 from oracles import er_sweep, fd_gradient, lev_recursive, wer_recursive
 
@@ -207,14 +205,13 @@ def test_structural_invariants_hold():
     src = list(rng.integers(4, 40, size=10))
 
     # future-prefix perturbation cannot move logits at earlier positions
-    memory = encode(params, cfg, src)
-    prefix = [BOS_ID] + char_encode("vera")[1:-1]
-    full = decoder_forward(params, cfg, memory, prefix)
-    for i in range(len(prefix)):
-        mutated = list(prefix)
-        for j in range(i + 1, len(prefix)):
+    tgt = char_encode("vera")
+    full = forward_details(params, cfg, src, tgt)["logits"]
+    for i in range(len(tgt) - 1):
+        mutated = list(tgt)
+        for j in range(i + 1, len(tgt) - 1):
             mutated[j] = 4 + (mutated[j] - 3) % 26
-        moved = decoder_forward(params, cfg, memory, mutated)
+        moved = forward_details(params, cfg, src, mutated)["logits"]
         assert np.max(np.abs(moved[i] - full[i])) <= 1e-9
 
     # every attention row is a probability distribution

@@ -6,11 +6,15 @@ import pytest
 from spellcap import tokenizer as tk
 from spellcap.errors import ConfigError, DataFormatError
 from spellcap.seq2seq import (
+    EpochStats,
     ModelConfig,
+    TrainState,
     greedy_decode,
     init_parameters,
     load_checkpoint,
+    load_train_state,
     save_checkpoint,
+    save_train_state,
 )
 
 
@@ -132,22 +136,70 @@ def _string_shape(m):
     m["tensors"][0]["shape"] = ["8", "40"]
 
 
-@pytest.mark.parametrize("corrupt, match", [
-    (_drop_tensors, "manifest tensors"),
-    (_drop_config, "config"),
-    (_unknown_config_key, "attention"),
-    (_string_shape, "manifest tensors"),
-], ids=["no_tensors", "no_config", "unknown_config_key", "string_shape"])
-def test_malformed_manifest_rejected(tmp_path, params, corrupt, match):
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(str(path), params, CFG)
+def _bpe_without_merges(m):
+    m["bpe"] = {"vocab": {tok: i for i, tok in enumerate(tk.BASE_TOKENS)}}
+
+
+def _bpe_not_object(m):
+    m["bpe"] = "x"
+
+
+def _rewrite_manifest(path, corrupt):
     blob = path.read_bytes()
     nl = blob.find(b"\n")
     manifest = json.loads(blob[:nl])
     corrupt(manifest)
     path.write_bytes(json.dumps(manifest).encode() + blob[nl:])
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (_drop_tensors, "manifest tensors"),
+    (_drop_config, "config"),
+    (_unknown_config_key, "attention"),
+    (_string_shape, "manifest tensors"),
+    (_bpe_without_merges, "bpe merges"),
+    (_bpe_not_object, "bpe block"),
+], ids=["no_tensors", "no_config", "unknown_config_key", "string_shape",
+        "bpe_without_merges", "bpe_not_object"])
+def test_malformed_manifest_rejected(tmp_path, params, corrupt, match):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), params, CFG)
+    _rewrite_manifest(path, corrupt)
     with pytest.raises(DataFormatError, match=match):
         load_checkpoint(str(path))
+
+
+def _drop_history(m):
+    del m["extras"]["train_state"]["history"]
+
+
+def _state_as_list(m):
+    m["extras"]["train_state"] = [m["extras"]["train_state"]]
+
+
+def _extras_as_string(m):
+    m["extras"] = "x"
+
+
+def _short_history_row(m):
+    m["extras"]["train_state"]["history"][0] = [0, 1.5]
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (_drop_history, "train_state.history"),
+    (_state_as_list, "train_state must be an object"),
+    (_extras_as_string, "extras"),
+    (_short_history_row, "train_state.history"),
+], ids=["no_history", "state_as_list", "extras_as_string", "short_history_row"])
+def test_malformed_resume_state_rejected(tmp_path, params, corrupt, match):
+    state = TrainState.fresh(params)
+    state.history.append(EpochStats(0, 1.5, 2.5))
+    path = tmp_path / "m.ckpt.resume"
+    save_train_state(str(path), params, CFG, state)
+    load_train_state(str(path))  # intact before the edit
+    _rewrite_manifest(path, corrupt)
+    with pytest.raises(DataFormatError, match=match):
+        load_train_state(str(path))
 
 
 def test_missing_parameter_rejected(tmp_path, params):

@@ -257,18 +257,32 @@ def test_invalid_utf8_exits_3(pipeline, tmp_path, capsys, argv):
     assert not (tmp_path / "x.out").exists()
 
 
-def test_predict_malformed_checkpoint_manifest_exits_3(pipeline, tmp_path, capsys):
+def predict_with_manifest(pipeline, tmp_path, capsys, corrupt):
+    """Run predict on a copy of the pipeline checkpoint whose manifest
+    ``corrupt`` edited in place; returns (exit code, stderr)."""
     blob = pipeline["ckpt"].read_bytes()
     nl = blob.find(b"\n")
     manifest = json.loads(blob[:nl])
-    del manifest["tensors"]
+    corrupt(manifest)
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(json.dumps(manifest).encode() + blob[nl:])
     text = tmp_path / "in.txt"
     text.write_text("v e r a\n")
     code, _, err = run(capsys, "predict", "--checkpoint", str(bad),
                        "--input", str(text), "--out", str(tmp_path / "x.tsv"))
+    return code, err
+
+
+def test_predict_malformed_checkpoint_manifest_exits_3(pipeline, tmp_path, capsys):
+    code, err = predict_with_manifest(pipeline, tmp_path, capsys,
+                                      lambda m: m.pop("tensors"))
     assert code == 3 and "manifest tensors" in err
+
+
+def test_predict_malformed_bpe_block_exits_3(pipeline, tmp_path, capsys):
+    code, err = predict_with_manifest(pipeline, tmp_path, capsys,
+                                      lambda m: m["bpe"].pop("merges"))
+    assert code == 3 and "bpe merges" in err
 
 
 @pytest.mark.parametrize("lines, line_no", [

@@ -9,8 +9,8 @@ from spellcap.seq2seq import (
     init_parameters,
     predict_name,
 )
-from spellcap.seq2seq.model import _log_softmax, decoder_forward, encode, id_of_class
-from spellcap.tokenizer import BOS_ID, char_decode
+from spellcap.seq2seq.model import _log_softmax, forward_details, id_of_class
+from spellcap.tokenizer import BOS_ID, EOS_ID, char_decode
 
 from oracles import beam_search, greedy_search
 
@@ -42,10 +42,10 @@ def test_beam_width_one_equals_greedy(seed):
 
 def exhaustive_best(params, cfg, src, max_len):
     """Score every target sequence up to max_len steps; return the optimum."""
-    memory = encode(params, cfg, src)
 
     def step(prefix):
-        return _log_softmax(decoder_forward(params, cfg, memory, prefix)[-1])
+        logits = forward_details(params, cfg, src, prefix + [EOS_ID])["logits"]
+        return _log_softmax(logits[-1])
 
     best = (-np.inf, None)
     stack = [([BOS_ID], 0.0)]
@@ -77,13 +77,12 @@ def test_wide_beam_matches_exhaustive_search(seed):
 
 
 def full_recompute_scorer(params, cfg, src):
-    """The reference's next-class log-probabilities: one uncached decoder
-    pass over the whole prefix per call."""
-    memory = encode(params, cfg, src)
+    """The reference's next-class log-probabilities: one teacher-forced
+    training forward pass over the whole prefix per call."""
 
     def next_logprobs(classes):
-        prefix = [BOS_ID] + [id_of_class(c) for c in classes]
-        return _log_softmax(decoder_forward(params, cfg, memory, prefix)[-1])
+        tgt = [BOS_ID] + [id_of_class(c) for c in classes] + [EOS_ID]
+        return _log_softmax(forward_details(params, cfg, src, tgt)["logits"][-1])
 
     return next_logprobs
 

@@ -1,5 +1,6 @@
 import math
 import random
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -258,6 +259,16 @@ def test_plot_two_sets_two_polylines(tmp_path):
     assert ">seq2seq</text>" in svg
     assert "rejection rate" in svg and "error rate" in svg
     assert "http://" not in svg.replace("http://www.w3.org/2000/svg", "")
+
+
+def test_plot_escapes_labels(tmp_path):
+    # labels come from results-file stems, which may hold XML specials
+    pts = [ErPoint(0.0, 0.4, -1.0), ErPoint(0.5, 0.2, -0.5)]
+    p = tmp_path / "plot.svg"
+    emit_plot([("a&b", pts), ("<c>", pts)], str(p))
+    svg_text = "{http://www.w3.org/2000/svg}text"
+    texts = [t.text for t in ET.parse(p).getroot().iter(svg_text)]
+    assert "a&b" in texts and "<c>" in texts
 
 
 def test_plot_rejects_empty_sets(tmp_path):

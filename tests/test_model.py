@@ -76,9 +76,8 @@ def test_causality_future_tokens_do_not_leak(params):
     src = [5, 9, 12, 20]
     tgt_a = [1, 4, 5, 6, 7, 2]
     tgt_b = [1, 4, 5, 28, 29, 2]  # differs from position 3 on
-    memory = M.encode(params, TINY, src)
-    la = M.decoder_forward(params, TINY, memory, tgt_a[:-1])
-    lb = M.decoder_forward(params, TINY, memory, tgt_b[:-1])
+    la = M.forward_details(params, TINY, src, tgt_a)["logits"]
+    lb = M.forward_details(params, TINY, src, tgt_b)["logits"]
     assert np.max(np.abs(la[:3] - lb[:3])) <= 1e-9
     assert np.max(np.abs(la[3:] - lb[3:])) > 1e-6
 
@@ -100,17 +99,14 @@ def test_cached_steps_match_full_prefix(n_layers, n_heads, head_dim, max_tgt_len
         return [M.id_of_class(int(c)) for c in rng.integers(1, M.N_CLASSES, size=n)]
 
     prefixes = [[1] + continuation(max_tgt_len - 1)]
-    # the uncached call agrees with the training forward pass at every position
-    teacher = M.forward_details(params, cfg, src, prefixes[0] + [2])["logits"]
-    full = M.decoder_forward(params, cfg, memory, prefixes[0])
-    assert np.max(np.abs(full - teacher)) <= 1e-12
     cache = M.decoder_cache(params, cfg, memory)
     for t in range(max_tgt_len):
-        step = M.decoder_forward(params, cfg, memory, [pre[t] for pre in prefixes], cache)
+        step = M.decoder_forward(params, cfg, cache, [pre[t] for pre in prefixes])
         assert step.shape == (len(prefixes), M.N_CLASSES)
         for row, pre in zip(step, prefixes):
-            full = M.decoder_forward(params, cfg, memory, pre[: t + 1])
-            assert np.max(np.abs(row - full[-1])) <= 1e-12
+            # the teacher-forced training forward pass over the same prefix
+            teacher = M.forward_details(params, cfg, src, pre[: t + 1] + [2])["logits"]
+            assert np.max(np.abs(row - teacher[-1])) <= 1e-12
         # keep, repeat, reorder and drop rows as a beam's pruning would; every
         # surviving row carries on from its parent's history
         parents = [int(r) for r in rng.integers(0, len(prefixes), size=int(rng.integers(1, 5)))]
