@@ -52,14 +52,6 @@ class Prediction:
             raise ValueError(f"seq2seq log-probability {self.confidence} above 0")
 
 
-@dataclass
-class BaselineTrace:
-    """Instrumentation for the N-best fallback behavior."""
-
-    hypotheses_consulted: int = 0
-    matched_rank: int | None = None
-
-
 def hypothesis_from_text(text: str, rank: int = 1, confidence: float = 1.0) -> AsrHypothesis:
     """Build a hypothesis from plain text with a uniform confidence."""
     toks = tuple(AsrToken(w, confidence) for w in text.split())
@@ -79,38 +71,29 @@ def _multichar_words(hyp: AsrHypothesis) -> list[AsrToken]:
     return [t for t in hyp.tokens if len(t.word) > 1]
 
 
-def baseline_predict_traced(nbest) -> tuple[Prediction, BaselineTrace]:
-    """As baseline_predict, also reporting which hypotheses were consulted."""
+def baseline_predict(nbest) -> Prediction:
+    """Extract a name from rank-sorted hypotheses (at most ranks 1-3)."""
     if not nbest:
         raise ValueError("nbest must contain at least one hypothesis")
-    trace = BaselineTrace()
     rank1_candidate = None
     for idx, hyp in enumerate(nbest[:3]):
-        trace.hypotheses_consulted += 1
         letters = extract_spelled_letters(hyp)
         if not letters:
             continue
         cand = "".join(t.word for t in letters)
         conf = sum(t.confidence for t in letters) / len(letters)
         if any(cand == w.word for w in _multichar_words(hyp)):
-            trace.matched_rank = hyp.rank
-            return Prediction(cand, 1.0, "baseline"), trace
+            return Prediction(cand, 1.0, "baseline")
         if idx == 0:
             rank1_candidate = (cand, conf)
     if rank1_candidate is not None:
-        return Prediction(*rank1_candidate, "baseline"), trace
+        return Prediction(*rank1_candidate, "baseline")
     words = _multichar_words(nbest[0])
     if words:
         # no spelled letters anywhere useful: fall back to the longest word
         best = max(words, key=lambda t: len(t.word))
-        return Prediction(best.word, best.confidence, "baseline"), trace
-    return Prediction("", 0.0, "baseline"), trace
-
-
-def baseline_predict(nbest) -> Prediction:
-    """Extract a name from rank-sorted hypotheses (at most ranks 1-3)."""
-    pred, _ = baseline_predict_traced(nbest)
-    return pred
+        return Prediction(best.word, best.confidence, "baseline")
+    return Prediction("", 0.0, "baseline")
 
 
 def edit_distance(a: str, b: str) -> int:

@@ -13,7 +13,10 @@ import argparse
 import os
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin
 
 from .baseline import Prediction, baseline_predict, edit_distance_confidence
 from .datagen import (
@@ -40,108 +43,55 @@ from .evalharness import (
 from .tokenizer import learn_bpe
 
 
-def _coerce(kind, key, value):
+def _parse(kind, key, value):
+    if get_origin(kind) is UnionType:  # int | None reads as int
+        kind = get_args(kind)[0]
+    if kind is tuple or get_origin(kind) is tuple:
+        item = (get_args(kind) or (str,))[0]
+        return tuple(_parse(item, key, x) for x in value.split(","))
     try:
         return kind(value)
     except ValueError:
         raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from None
 
 
-def parse_kv_file(path) -> dict:
-    """Flat key=value lines; blank lines and #-comments are skipped."""
-    out = {}
+def read_config(path, cls, skip=(), **extra) -> dict:
+    """Keyword arguments for config dataclass ``cls`` from a key=value file.
+
+    The keys and their types are the fields of ``cls`` less ``skip``, plus
+    ``extra`` (name=type). Blank lines and #-comments are skipped; tuple
+    values are comma-separated. No path reads as an empty file.
+    """
+    if not path:
+        return {}
+    types = {f.name: f.type for f in fields(cls) if f.name not in skip} | extra
+    kwargs = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, sep, value = line.partition("=")
+            key, sep, value = (part.strip() for part in line.partition("="))
             if not sep:
                 raise ConfigError(f"{path} line {line_no}: expected key=value, "
                                   f"got {line!r}")
-            out[key.strip()] = value.strip()
-    return out
-
-
-_NOISE_FLOATS = (
-    "letter_sub_prob", "filler_prob", "nato_prob", "nato_variant_prob",
-    "fullname_prob", "name_drop_prob", "conf_clean", "conf_noisy", "jitter",
-    "label_error_prob",
-)
-
-
-def noise_config_from_file(path) -> NoiseConfig:
-    kwargs = {}
-    for key, value in parse_kv_file(path).items():
-        if key in _NOISE_FLOATS:
-            kwargs[key] = _coerce(float, key, value)
-        elif key == "nbest_size":
-            kwargs[key] = _coerce(int, key, value)
-        elif key == "pattern_weights":
-            kwargs[key] = tuple(_coerce(float, key, x) for x in value.split(","))
-        elif key == "confusion_sets":
-            kwargs[key] = tuple(tuple(group) for group in value.split(","))
-        else:
-            raise ConfigError(f"unknown noise config key {key!r}")
-    return NoiseConfig(**kwargs)
-
-
-_MODEL_INTS = ("n_layers", "n_heads", "d_model", "d_ff", "max_src_len", "max_tgt_len")
-
-
-def model_settings_from_file(path):
-    """Returns (ModelConfig kwargs sans vocab_size, n_merges)."""
-    kwargs = {}
-    n_merges = 1000
-    if path:
-        for key, value in parse_kv_file(path).items():
-            if key in _MODEL_INTS:
-                kwargs[key] = _coerce(int, key, value)
-            elif key == "dropout":
-                kwargs[key] = _coerce(float, key, value)
-            elif key == "n_merges":
-                n_merges = _coerce(int, key, value)
-            else:
-                raise ConfigError(f"unknown model config key {key!r}")
-    if n_merges < 0:
-        raise ConfigError(f"n_merges must be >= 0, got {n_merges}")
-    return kwargs, n_merges
-
-
-_TRAIN_INTS = ("batch_size", "epochs", "seed", "patience")
-_TRAIN_FLOATS = ("learning_rate", "beta1", "beta2", "eps")
-
-
-def train_settings_from_file(path) -> dict:
-    kwargs = {}
-    if path:
-        for key, value in parse_kv_file(path).items():
-            if key in _TRAIN_INTS:
-                kwargs[key] = _coerce(int, key, value)
-            elif key in _TRAIN_FLOATS:
-                kwargs[key] = _coerce(float, key, value)
-            else:
-                raise ConfigError(f"unknown train config key {key!r}")
+            if key not in types:
+                raise ConfigError(f"{path} line {line_no}: unknown "
+                                  f"{cls.__name__} key {key!r}")
+            kwargs[key] = _parse(types[key], key, value)
     return kwargs
 
 
-def _env_seed():
-    raw = os.environ.get("SPELLCAP_SEED")
-    if raw is None:
-        return None
+def _resolve_seed(flag, file_value=None) -> int:
+    """flag > config file > SPELLCAP_SEED > 0."""
+    for value in (flag, file_value):
+        if value is not None:
+            return value
+    raw = os.environ.get("SPELLCAP_SEED", "0")
     try:
         return int(raw)
     except ValueError:
         raise ConfigError(f"SPELLCAP_SEED must be an integer, got {raw!r}") from None
-
-
-def _resolve_seed(flag, file_value=None, default=0) -> int:
-    if flag is not None:
-        return flag
-    if file_value is not None:
-        return file_value
-    env = _env_seed()
-    return env if env is not None else default
 
 
 # ----------------------------------------------------------- subcommands
@@ -153,13 +103,17 @@ def cmd_generate(args) -> int:
     if args.dev_out and not 0.0 < args.dev_fraction < 1.0:
         raise ConfigError(f"--dev-fraction must be in (0, 1), got {args.dev_fraction}")
     lex = load_lexicon(args.lexicon or default_lexicon_path())
-    cfg = noise_config_from_file(args.noise) if args.noise else NoiseConfig()
+    cfg = NoiseConfig(**read_config(args.noise, NoiseConfig))
     seed = _resolve_seed(args.seed)
     tagged = generate_dataset(lex, args.n, cfg, seed, with_patterns=True)
     samples = [s for s, _ in tagged]
     mix = Counter(p for _, p in tagged)
     if args.dev_out:
         train, dev = train_dev_split(samples, args.dev_fraction, seed)
+        if not train or not dev:
+            raise ConfigError(f"--dev-fraction {args.dev_fraction} of --n {args.n} "
+                              f"leaves {len(train)} train and {len(dev)} dev "
+                              "samples; both splits need at least one")
         save_dataset(train, args.out)
         save_dataset(dev, args.dev_out)
         print(f"wrote {len(train)} samples to {args.out}, "
@@ -185,14 +139,11 @@ def cmd_train(args) -> int:
 
     samples = load_dataset(args.train)
     dev_samples = load_dataset(args.dev) if args.dev else []
-    train_kwargs = train_settings_from_file(args.train_config)
+    train_kwargs = read_config(args.train_config, TrainConfig)
     train_kwargs["seed"] = _resolve_seed(args.seed, train_kwargs.get("seed"))
-    if args.epochs is not None:
-        train_kwargs["epochs"] = args.epochs
-    if args.batch_size is not None:
-        train_kwargs["batch_size"] = args.batch_size
-    if args.learning_rate is not None:
-        train_kwargs["learning_rate"] = args.learning_rate
+    for key in ("epochs", "batch_size", "learning_rate"):
+        if getattr(args, key) is not None:
+            train_kwargs[key] = getattr(args, key)
     train_cfg = TrainConfig(**train_kwargs)
 
     if args.resume:
@@ -202,7 +153,11 @@ def cmd_train(args) -> int:
         if bpe is None:
             raise ConfigError(f"{args.resume} carries no tokenizer")
     else:
-        model_kwargs, n_merges = model_settings_from_file(args.model_config)
+        model_kwargs = read_config(args.model_config, ModelConfig,
+                                   skip=("vocab_size",), n_merges=int)
+        n_merges = model_kwargs.pop("n_merges", 1000)
+        if n_merges < 0:
+            raise ConfigError(f"n_merges must be >= 0, got {n_merges}")
         texts = [s.nbest[0].text() for s in samples]
         bpe = learn_bpe(texts, n_merges)
         model_cfg = ModelConfig(vocab_size=len(bpe.vocab), **model_kwargs)
@@ -334,20 +289,22 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="write a synthetic labeled dataset")
     g.add_argument("--lexicon", help="name list file (default: bundled 200 names)")
     g.add_argument("--n", type=int, default=1000, help="sample count")
-    g.add_argument("--noise", help="key=value noise config file")
+    g.add_argument("--noise", help="key=value file of NoiseConfig fields")
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("--out", required=True, help="dataset file to write")
     g.add_argument("--dev-out", help="also write a held-out split here")
     g.add_argument("--dev-fraction", type=float, default=0.1,
-                   help="fraction for --dev-out (default 0.1)")
+                   help="fraction for --dev-out (default 0.1); both splits "
+                        "must be non-empty")
     g.set_defaults(func=cmd_generate)
 
     t = sub.add_parser("train", help="learn BPE and train the transducer")
     t.add_argument("--train", required=True, help="training dataset file")
     t.add_argument("--dev", help="validation dataset file (best-epoch tracking)")
     t.add_argument("--out", required=True, help="checkpoint file to write")
-    t.add_argument("--model-config", help="key=value model settings")
-    t.add_argument("--train-config", help="key=value optimizer settings")
+    t.add_argument("--model-config", help="key=value file of ModelConfig fields "
+                                          "(vocab_size excepted) and n_merges")
+    t.add_argument("--train-config", help="key=value file of TrainConfig fields")
     t.add_argument("--resume", help="resume container from a previous run "
                                     "(the OUT.resume file)")
     t.add_argument("--history", help="per-epoch loss CSV (default OUT.history.csv)")

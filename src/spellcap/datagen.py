@@ -80,7 +80,7 @@ class NoiseConfig:
     jitter: float = 0.0
     label_error_prob: float = 0.0
     nbest_size: int = 1
-    pattern_weights: tuple = (1.0, 1.0, 1.0, 1.0, 1.0)
+    pattern_weights: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0, 1.0)
 
     def __post_init__(self):
         probs = {

@@ -6,12 +6,13 @@ order. Model checkpoints default to float32 storage; training resume state
 uses the same container at float64 plus ``adam.*``/``best.*`` tensors, so a
 resumed run continues bit-exactly. Loading rejects a malformed manifest
 (missing or unknown config keys; ill-typed tensor entries, tokenizer block,
-extras or resume state) with DataFormatError and config/shape mismatches
-with ConfigError.
+extras or resume state; tokenizer ids outside the model vocabulary) with
+DataFormatError and config/shape mismatches with ConfigError.
 """
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -112,7 +113,7 @@ def save_checkpoint(path, params, model_cfg: ModelConfig, bpe: BpeModel | None =
         ordered[p] = params[p]
     for name, arr in (extra_tensors or {}).items():
         ordered[name] = arr
-    manifest = {"config": model_cfg.to_dict()}
+    manifest = {"config": asdict(model_cfg)}
     if bpe is not None:
         manifest["bpe"] = bpe.to_manifest()
     if extras:
@@ -134,7 +135,7 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint, checking every core tensor against its config shape."""
     manifest, tensors = _read(path)
     try:
-        config = ModelConfig.from_dict(manifest["config"])
+        config = ModelConfig(**manifest["config"])
     except (KeyError, TypeError) as e:  # missing, non-object, unknown or ill-typed keys
         raise DataFormatError(f"bad model config in manifest: {e!r}") from None
     params = {}
@@ -148,6 +149,10 @@ def load_checkpoint(path) -> Checkpoint:
             )
         params[p] = tensors.pop(p)
     bpe = BpeModel.from_manifest(manifest["bpe"]) if "bpe" in manifest else None
+    for tok, i in (bpe.vocab.items() if bpe else ()):
+        if not 0 <= i < config.vocab_size:
+            raise DataFormatError(f"bpe token {tok!r} has id {i} outside "
+                                  f"[0, vocab_size {config.vocab_size})")
     extras = manifest.get("extras", {})
     if not isinstance(extras, dict):
         raise DataFormatError("manifest extras must be an object")

@@ -12,7 +12,7 @@ heads, F for d_ff, C for output classes.
 
 import math
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,13 +47,6 @@ class ModelConfig:
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
         if self.vocab_size < 33:
             raise ConfigError("vocab_size smaller than the base vocabulary")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ModelConfig":
-        return cls(**obj)
 
 
 # A layer of each stack is this list of pre-norm residual sublayers

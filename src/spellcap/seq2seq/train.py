@@ -7,7 +7,7 @@ container stores float64).
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,13 +36,6 @@ class TrainConfig:
             raise ConfigError("betas must lie in [0, 1)")
         if self.patience is not None and self.patience < 1:
             raise ConfigError("patience must be >= 1 when set")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TrainConfig":
-        return cls(**obj)
 
 
 @dataclass

@@ -7,7 +7,6 @@ from spellcap.baseline import (
     AsrToken,
     Prediction,
     baseline_predict,
-    baseline_predict_traced,
     edit_distance,
     edit_distance_confidence,
     extract_spelled_letters,
@@ -53,38 +52,30 @@ def test_match_boosts_confidence_to_one():
     h = hyp(
         [("vera", 0.42), ("v", 0.5), ("e", 0.5), ("r", 0.5), ("a", 0.5)]
     )
-    pred, trace = baseline_predict_traced([h])
-    assert pred == Prediction("vera", 1.0, "baseline")
-    assert trace.matched_rank == 1
-    assert trace.hypotheses_consulted == 1
+    assert baseline_predict([h]) == Prediction("vera", 1.0, "baseline")
 
 
 def test_match_from_rank_two():
     r1 = hyp([("j", 0.9), ("o", 0.9), ("n", 0.9)], rank=1)
     r2 = hyp([("jon", 0.3), ("j", 0.8), ("o", 0.8), ("n", 0.8)], rank=2)
-    pred, trace = baseline_predict_traced([r1, r2])
-    assert pred == Prediction("jon", 1.0, "baseline")
-    assert trace.matched_rank == 2
-    assert trace.hypotheses_consulted == 2
+    assert baseline_predict([r1, r2]) == Prediction("jon", 1.0, "baseline")
 
 
 def test_non_match_ranks_cannot_displace_rank_one():
     r1 = hyp([("d", 0.6), ("a", 0.6), ("n", 0.6)], rank=1)
     r2 = hyp([("dane", 0.9), ("d", 0.9), ("a", 0.9), ("n", 0.9), ("a", 0.9)], rank=2)
-    pred, trace = baseline_predict_traced([r1, r2])
+    pred = baseline_predict([r1, r2])
     assert pred.name == "dan"
     assert pred.confidence == pytest.approx(0.6)
-    assert trace.matched_rank is None
-    assert trace.hypotheses_consulted == 2
 
 
 def test_ranks_beyond_three_never_consulted():
     r = [hyp([("x", 0.5), ("y", 0.5)], rank=k) for k in (1, 2, 3)]
     r4 = hyp([("xy", 0.9), ("x", 0.9), ("y", 0.9)], rank=4)
-    pred, trace = baseline_predict_traced(r + [r4])
+    # rank 4 would match with confidence 1.0; rank 1's letter average wins
+    pred = baseline_predict(r + [r4])
     assert pred.name == "xy"
     assert pred.confidence == pytest.approx(0.5)
-    assert trace.hypotheses_consulted == 3
 
 
 def test_zero_letter_fallback_longest_word():

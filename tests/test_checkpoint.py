@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ def test_shape_mismatch_rejected(tmp_path, params):
         vocab_size=40, n_layers=1, n_heads=2, d_model=16, d_ff=32,
         dropout=0.0, max_src_len=32, max_tgt_len=8,
     )
-    manifest["config"] = other.to_dict()
+    manifest["config"] = asdict(other)
     (tmp_path / "bad.ckpt").write_bytes(
         json.dumps(manifest).encode() + b"\n" + blob[nl + 1 :]
     )
@@ -144,6 +145,11 @@ def _bpe_not_object(m):
     m["bpe"] = "x"
 
 
+def _bpe_id_beyond_vocab(m):
+    m["bpe"]["vocab"]["zz"] = 9999
+    m["bpe"]["merges"].append(["z", "z"])
+
+
 def _rewrite_manifest(path, corrupt):
     blob = path.read_bytes()
     nl = blob.find(b"\n")
@@ -159,11 +165,12 @@ def _rewrite_manifest(path, corrupt):
     (_string_shape, "manifest tensors"),
     (_bpe_without_merges, "bpe merges"),
     (_bpe_not_object, "bpe block"),
+    (_bpe_id_beyond_vocab, "'zz' has id 9999"),
 ], ids=["no_tensors", "no_config", "unknown_config_key", "string_shape",
-        "bpe_without_merges", "bpe_not_object"])
+        "bpe_without_merges", "bpe_not_object", "bpe_id_beyond_vocab"])
 def test_malformed_manifest_rejected(tmp_path, params, corrupt, match):
     path = tmp_path / "m.ckpt"
-    save_checkpoint(str(path), params, CFG)
+    save_checkpoint(str(path), params, CFG, bpe=tk.learn_bpe(["vera v e r a"], 3))
     _rewrite_manifest(path, corrupt)
     with pytest.raises(DataFormatError, match=match):
         load_checkpoint(str(path))

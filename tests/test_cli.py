@@ -5,14 +5,15 @@ are asserted directly; no subprocesses.
 """
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from spellcap.cli import main
-from spellcap.datagen import load_dataset
+from spellcap.cli import main, read_config
+from spellcap.datagen import NoiseConfig, load_dataset
 from spellcap.evalharness import load_results, parse_csv
-from spellcap.seq2seq import load_checkpoint
+from spellcap.seq2seq import ModelConfig, TrainConfig, load_checkpoint
 
 
 def run(capsys, *argv):
@@ -75,6 +76,13 @@ def test_generate_rejects_bad_counts(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--n", "5", "--out", str(tmp_path / "x"),
                        "--dev-out", str(tmp_path / "y"), "--dev-fraction", "1.5")
     assert code == 2 and "dev-fraction" in err
+    # a split that would leave either file empty: 0 train, then 0 dev samples
+    for n, fraction, counts in (("2", "0.9", "0 train and 2 dev"),
+                                ("5", "0.05", "5 train and 0 dev")):
+        code, _, err = run(capsys, "generate", "--n", n, "--out", str(tmp_path / "x"),
+                           "--dev-out", str(tmp_path / "y"), "--dev-fraction", fraction)
+        assert code == 2 and "--dev-fraction" in err and counts in err
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
 
 
 def test_generate_unknown_noise_key_is_config_error(tmp_path, capsys):
@@ -91,6 +99,60 @@ def test_generate_malformed_noise_line_is_config_error(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--n", "5", "--noise", str(noise),
                        "--out", str(tmp_path / "x"))
     assert code == 2 and "line 2" in err
+
+
+@pytest.mark.parametrize("line, key", [
+    ("nbest_size=two", "nbest_size"),
+    ("pattern_weights=1,x,1,1,1", "pattern_weights"),
+])
+def test_generate_ill_typed_noise_value_names_key(tmp_path, capsys, line, key):
+    noise = tmp_path / "n.txt"
+    noise.write_text(line + "\n")
+    code, _, err = run(capsys, "generate", "--n", "5", "--noise", str(noise),
+                       "--out", str(tmp_path / "x"))
+    assert code == 2 and key in err
+
+
+# Every accepted key of each config file, each set away from its default.
+CONFIG_FILES = {
+    "noise": (NoiseConfig, (), {}, (
+        "letter_sub_prob=0.1\nconfusion_sets=bdp,mn\nfiller_prob=0.2\n"
+        "nato_prob=0.3\nnato_variant_prob=0.4\nfullname_prob=0.5\n"
+        "name_drop_prob=0.6\nconf_clean=0.8\nconf_noisy=0.4\njitter=0.1\n"
+        "label_error_prob=0.05\nnbest_size=3\npattern_weights=1,2,0,0,1\n"
+    ), NoiseConfig(
+        letter_sub_prob=0.1, confusion_sets=(("b", "d", "p"), ("m", "n")),
+        filler_prob=0.2, nato_prob=0.3, nato_variant_prob=0.4, fullname_prob=0.5,
+        name_drop_prob=0.6, conf_clean=0.8, conf_noisy=0.4, jitter=0.1,
+        label_error_prob=0.05, nbest_size=3, pattern_weights=(1.0, 2.0, 0.0, 0.0, 1.0),
+    )),
+    # the model file sets no vocab_size (BPE decides it) and adds n_merges
+    "model": (ModelConfig, ("vocab_size",), {"n_merges": int}, (
+        "n_layers=3\nn_heads=4\nd_model=32\nd_ff=48\ndropout=0.2\n"
+        "max_src_len=120\nmax_tgt_len=40\nn_merges=77\n"
+    ), ModelConfig(vocab_size=100, n_layers=3, n_heads=4, d_model=32, d_ff=48,
+                   dropout=0.2, max_src_len=120, max_tgt_len=40)),
+    "train": (TrainConfig, (), {}, (
+        "# optimizer\n\nbatch_size = 8\nlearning_rate=0.002\nbeta1=0.8\n"
+        "beta2=0.99\neps=1e-7\nepochs=3\nseed=12\npatience=2\n"
+    ), TrainConfig(batch_size=8, learning_rate=0.002, beta1=0.8, beta2=0.99,
+                   eps=1e-7, epochs=3, seed=12, patience=2)),
+}
+
+
+@pytest.mark.parametrize("name", CONFIG_FILES)
+def test_config_file_sets_every_field(tmp_path, name):
+    cls, skip, extra, text, direct = CONFIG_FILES[name]
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(text)
+    kwargs = read_config(path, cls, skip, **extra)
+    assert set(kwargs) == {f.name for f in fields(cls) if f.name not in skip} | set(extra)
+    if name == "model":
+        assert kwargs.pop("n_merges") == 77
+        kwargs["vocab_size"] = 100
+    loaded = cls(**kwargs)
+    assert loaded == direct
+    assert all(getattr(loaded, f.name) != f.default for f in fields(cls))
 
 
 def test_generate_missing_lexicon_is_io_error(tmp_path, capsys):
@@ -204,6 +266,15 @@ def test_train_unknown_config_key_is_config_error(pipeline, tmp_path, capsys):
                        "--out", str(tmp_path / "x.ckpt"),
                        "--train-config", str(bad))
     assert code == 2 and "momentum" in err
+
+
+def test_model_config_rejects_vocab_size(pipeline, tmp_path, capsys):
+    bad = tmp_path / "model.txt"
+    bad.write_text("d_model=16\nvocab_size=40\n")
+    code, _, err = run(capsys, "train", "--train", str(pipeline["train"]),
+                       "--out", str(tmp_path / "x.ckpt"),
+                       "--model-config", str(bad))
+    assert code == 2 and "line 2" in err and "'vocab_size'" in err
 
 
 def test_predict_on_dataset_file(pipeline, capsys):

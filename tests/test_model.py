@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,7 +40,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         M.ModelConfig(vocab_size=40, n_layers=0)
     cfg = M.ModelConfig(vocab_size=64)
-    assert M.ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert M.ModelConfig(**asdict(cfg)) == cfg  # the checkpoint manifest's form
 
 
 def test_init_deterministic_and_shaped():
