@@ -52,12 +52,6 @@ class Prediction:
             raise ValueError(f"seq2seq log-probability {self.confidence} above 0")
 
 
-def hypothesis_from_text(text: str, rank: int = 1, confidence: float = 1.0) -> AsrHypothesis:
-    """Build a hypothesis from plain text with a uniform confidence."""
-    toks = tuple(AsrToken(w, confidence) for w in text.split())
-    return AsrHypothesis(tokens=toks, rank=rank)
-
-
 def extract_spelled_letters(hyp: AsrHypothesis) -> list[AsrToken]:
     """Single-character [a-z] tokens in utterance order.
 

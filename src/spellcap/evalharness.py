@@ -7,6 +7,7 @@ the ordering of confidences matters, so raw log-probabilities and [0, 1]
 scores plot on the same axes.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,8 +212,9 @@ def load_results(path) -> list:
             try:
                 conf = float(conf_text)
             except ValueError:
-                raise DataFormatError(f"bad confidence {conf_text!r}",
-                                      line_no=line_no) from None
+                conf = math.nan  # reported with the non-finite values below
+            if not math.isfinite(conf):
+                raise DataFormatError(f"bad confidence {conf_text!r}", line_no=line_no)
             try:
                 results.append(ScoredResult(Prediction(name, conf, source), gold))
             except ValueError as e:

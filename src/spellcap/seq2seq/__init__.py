@@ -17,11 +17,9 @@ from .model import (
     forward_details,
     id_of_class,
     init_parameters,
-    loss,
     loss_and_gradients,
     pack_batch,
     param_shapes,
-    positional_encoding,
 )
 from .train import (
     EpochStats,
@@ -55,12 +53,10 @@ __all__ = [
     "init_parameters",
     "load_checkpoint",
     "load_train_state",
-    "loss",
     "loss_and_gradients",
     "pack_batch",
     "pairs_from_samples",
     "param_shapes",
-    "positional_encoding",
     "predict_name",
     "save_checkpoint",
     "save_train_state",

@@ -1,18 +1,24 @@
 """Checkpoint container: one JSON manifest line, then raw array bytes.
 
-The manifest records the model config, optional tokenizer, optional extras,
-the storage dtype, and per-tensor path/shape/byte-offset entries in write
-order. Model checkpoints default to float32 storage; training resume state
-uses the same container at float64 plus ``adam.*``/``best.*`` tensors, so a
-resumed run continues bit-exactly. Loading rejects a malformed manifest
-(missing or unknown config keys; ill-typed tensor entries, tokenizer block,
-extras or resume state; tokenizer ids outside the model vocabulary) with
-DataFormatError and config/shape mismatches with ConfigError.
+The manifest holds ``format``, ``dtype``, ``config`` (the ``ModelConfig``
+fields), an optional ``bpe`` block (tokenizer ``vocab`` and ``merges``),
+``tensors`` (path/shape/byte-offset/nbytes entries in write order) and
+optional ``extras``, where a float64 training resume file keeps its
+``train_state`` beside ``adam.*``/``best.*`` tensors, so a resumed run
+continues bit-exactly. Each block is read by ``_typed`` against its
+dataclass fields: a missing or unknown key or a value of the wrong JSON type
+is a DataFormatError (exit 3) naming its path, such as ``config.n_layers``,
+as are tokenizer ids outside the model vocabulary; a config value breaking a
+``ModelConfig`` rule or a tensor shape disagreeing with it is a ConfigError
+(exit 2).
 """
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from functools import cache
+from types import UnionType
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -25,6 +31,96 @@ _MAGIC = "spellcap-checkpoint"
 _DTYPES = {"float32": "<f4", "float64": "<f8"}
 
 
+@cache
+def _parts(tp):
+    """(origin, args) of an annotation, resolved once; a dataclass has origin
+    ``dataclass`` and maps its init fields to their types in place of args."""
+    if is_dataclass(tp):
+        return dataclass, {f.name: f.type for f in fields(tp) if f.init}
+    return get_origin(tp), get_args(tp)
+
+
+def _value(tp, obj, where):
+    """``obj`` checked against the annotation ``tp``; lists become tuples where
+    ``tp`` is a tuple, and a float takes an int too. ``where`` is a name or a
+    (parent, key) pair, spelled out only in an error."""
+    if type(obj) is tp:  # an exact match: a scalar, or a free-form dict
+        return obj
+    origin, args = _parts(tp)
+    if origin is dataclass:
+        return _typed(tp, obj, where)
+    if origin is UnionType:  # X | None, with X first
+        return None if obj is None else _value(args[0], obj, where)
+    if origin is dict:
+        _expect(type(obj) is dict, obj, where, "an object")
+        return {k: _value(args[1], v, (where, k)) for k, v in obj.items()}
+    if origin in (list, tuple):
+        fixed = origin is tuple and Ellipsis not in args
+        _expect(type(obj) is list and (not fixed or len(obj) == len(args)), obj, where,
+                f"a list of {len(args)}" if fixed else "a list")
+        return origin([_value(args[i] if fixed else args[0], v, (where, i))
+                       for i, v in enumerate(obj)])
+    _expect(type(obj) is tp or (tp is float and type(obj) is int), obj, where,
+            "an object" if tp is dict else tp.__name__)
+    return obj
+
+
+def _path(where) -> str:
+    if isinstance(where, str):
+        return where
+    parent, key = where
+    return _path(parent) + (f"[{key}]" if type(key) is int else f".{key}")
+
+
+def _expect(ok: bool, obj, where, kind: str):
+    if not ok:
+        raise DataFormatError(f"{_path(where)} must be {kind}, got {obj!r:.60}")
+
+
+def _typed(cls, obj, where):
+    """Build dataclass ``cls`` from the JSON object ``obj`` holding exactly its
+    init fields; anything else is a DataFormatError naming the path."""
+    types = _parts(cls)[1]
+    if type(obj) is not dict:
+        raise DataFormatError(f"{_path(where)} block must be an object, got {obj!r:.60}")
+    if obj.keys() != types.keys():
+        if unknown := sorted(obj.keys() - types.keys()):
+            raise DataFormatError(f"{_path(where)} has unknown key {unknown[0]!r}")
+        raise DataFormatError(f"{_path(where)} {min(types.keys() - obj.keys())} missing")
+    return cls(**{k: _value(tp, obj[k], (where, k)) for k, tp in types.items()})
+
+
+@dataclass(frozen=True)
+class TensorEntry:
+    """Where one tensor's bytes sit after the manifest line."""
+
+    path: str
+    shape: tuple[int, ...]
+    offset: int
+    nbytes: int
+
+    def __post_init__(self):
+        if min(self.shape + (self.offset, self.nbytes)) < 0:
+            raise DataFormatError(f"tensor {self.path}: negative shape, offset or nbytes")
+
+
+@dataclass(frozen=True)
+class ResumeMeta:
+    """The ``extras.train_state`` block; history rows are (epoch, train, dev loss)."""
+
+    adam_t: int
+    next_epoch: int
+    best_dev: float | None
+    epochs_since_improve: int
+    has_best: bool
+    history: tuple[tuple[int, float, float], ...]
+
+    def __post_init__(self):
+        counts = (self.adam_t, self.next_epoch, self.epochs_since_improve)
+        if min(counts + tuple(h[0] for h in self.history)) < 0:
+            raise DataFormatError("train_state counts and epochs must be >= 0")
+
+
 def _write(path, manifest: dict, tensors: dict[str, np.ndarray], dtype_name: str):
     dt = np.dtype(_DTYPES[dtype_name])
     entries = []
@@ -32,36 +128,16 @@ def _write(path, manifest: dict, tensors: dict[str, np.ndarray], dtype_name: str
     offset = 0
     for name, arr in tensors.items():
         raw = np.ascontiguousarray(arr, dtype=np.float64).astype(dt).tobytes()
-        entries.append(
-            {"path": name, "shape": list(arr.shape), "offset": offset, "nbytes": len(raw)}
-        )
+        entries.append(asdict(TensorEntry(name, arr.shape, offset, len(raw))))
         blobs.append(raw)
         offset += len(raw)
-    manifest = dict(manifest)
-    manifest["format"] = _MAGIC
-    manifest["dtype"] = dtype_name
-    manifest["tensors"] = entries
+    manifest = {**manifest, "format": _MAGIC, "dtype": dtype_name, "tensors": entries}
     header = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     with open(path, "wb") as f:
         f.write(header.encode("utf-8"))
         f.write(b"\n")
         for raw in blobs:
             f.write(raw)
-
-
-def _is_count(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _is_entry(entry) -> bool:
-    return (isinstance(entry, dict) and isinstance(entry.get("path"), str)
-            and isinstance(entry.get("shape"), list)
-            and all(map(_is_count, entry["shape"]))
-            and _is_count(entry.get("offset")) and _is_count(entry.get("nbytes")))
 
 
 def _read(path):
@@ -77,144 +153,93 @@ def _read(path):
     if not isinstance(manifest, dict) or manifest.get("format") != _MAGIC:
         raise DataFormatError("not a spellcap checkpoint")
     dtype_name = manifest.get("dtype")
-    if dtype_name not in _DTYPES:
+    if not isinstance(dtype_name, str) or dtype_name not in _DTYPES:
         raise DataFormatError(f"unsupported dtype {dtype_name!r}")
-    entries = manifest.get("tensors")
-    if not isinstance(entries, list) or not all(map(_is_entry, entries)):
-        raise DataFormatError("manifest tensors must be a list of path/shape/"
-                              "offset/nbytes entries with non-negative integers")
+    entries = _value(tuple[TensorEntry, ...], manifest.get("tensors"), "manifest tensors")
     dt = np.dtype(_DTYPES[dtype_name])
     data = blob[nl + 1 :]
     tensors = {}
     for entry in entries:
-        shape = tuple(entry["shape"])
-        want = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-        if entry["nbytes"] != want:
-            raise DataFormatError(f"tensor {entry['path']}: nbytes/shape mismatch")
-        raw = data[entry["offset"] : entry["offset"] + entry["nbytes"]]
+        want = math.prod(entry.shape) * dt.itemsize
+        if entry.nbytes != want:
+            raise DataFormatError(f"tensor {entry.path}: nbytes/shape mismatch")
+        raw = data[entry.offset : entry.offset + entry.nbytes]
         if len(raw) != want:
-            raise DataFormatError(f"tensor {entry['path']}: file truncated")
-        tensors[entry["path"]] = (
-            np.frombuffer(raw, dtype=dt).reshape(shape).astype(np.float64)
-        )
+            raise DataFormatError(f"tensor {entry.path}: file truncated")
+        tensors[entry.path] = np.frombuffer(raw, dt).reshape(entry.shape).astype(np.float64)
     return manifest, tensors
 
 
 def save_checkpoint(path, params, model_cfg: ModelConfig, bpe: BpeModel | None = None,
-                    dtype: str = "float32", extras: dict | None = None,
+                    dtype: str = "float32", extras: dict[str, dict] | None = None,
                     extra_tensors: dict[str, np.ndarray] | None = None) -> None:
     """Write parameters (canonical order first, extras after the core set)."""
     if dtype not in _DTYPES:
         raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
-    ordered: dict[str, np.ndarray] = {}
-    for p in param_shapes(model_cfg):
-        if p not in params:
-            raise ValueError(f"missing parameter {p}")
-        ordered[p] = params[p]
-    for name, arr in (extra_tensors or {}).items():
-        ordered[name] = arr
+    if missing := [p for p in param_shapes(model_cfg) if p not in params]:
+        raise ValueError(f"missing parameter {missing[0]}")
+    ordered = {**{p: params[p] for p in param_shapes(model_cfg)}, **(extra_tensors or {})}
     manifest = {"config": asdict(model_cfg)}
     if bpe is not None:
-        manifest["bpe"] = bpe.to_manifest()
+        manifest["bpe"] = {"vocab": bpe.vocab, "merges": bpe.merges}
     if extras:
         manifest["extras"] = extras
     _write(path, manifest, ordered, dtype)
 
 
+@dataclass(frozen=True)
 class Checkpoint:
-    def __init__(self, params, config, bpe, extras, extra_tensors, dtype):
-        self.params = params
-        self.config = config
-        self.bpe = bpe
-        self.extras = extras
-        self.extra_tensors = extra_tensors
-        self.dtype = dtype
+    params: dict[str, np.ndarray]
+    config: ModelConfig
+    bpe: BpeModel | None
+    extras: dict[str, dict]
+    extra_tensors: dict[str, np.ndarray]
+    dtype: str
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint, checking every core tensor against its config shape."""
     manifest, tensors = _read(path)
-    try:
-        config = ModelConfig(**manifest["config"])
-    except (KeyError, TypeError) as e:  # missing, non-object, unknown or ill-typed keys
-        raise DataFormatError(f"bad model config in manifest: {e!r}") from None
+    config = _typed(ModelConfig, manifest.get("config"), "manifest config")
     params = {}
     for p, shape in param_shapes(config).items():
         if p not in tensors:
             raise DataFormatError(f"missing parameter {p}")
-        if tensors[p].shape != shape:
-            # config/tensor disagreement, not file corruption
-            raise ConfigError(
-                f"parameter {p}: shape {tensors[p].shape} does not match {shape}"
-            )
+        if tensors[p].shape != shape:  # config/tensor disagreement, not corruption
+            raise ConfigError(f"parameter {p}: shape {tensors[p].shape} does not match {shape}")
         params[p] = tensors.pop(p)
-    bpe = BpeModel.from_manifest(manifest["bpe"]) if "bpe" in manifest else None
+    bpe = _value(BpeModel | None, manifest.get("bpe"), "manifest bpe")
     for tok, i in (bpe.vocab.items() if bpe else ()):
         if not 0 <= i < config.vocab_size:
             raise DataFormatError(f"bpe token {tok!r} has id {i} outside "
                                   f"[0, vocab_size {config.vocab_size})")
-    extras = manifest.get("extras", {})
-    if not isinstance(extras, dict):
-        raise DataFormatError("manifest extras must be an object")
-    return Checkpoint(
-        params=params,
-        config=config,
-        bpe=bpe,
-        extras=extras,
-        extra_tensors=tensors,
-        dtype=manifest["dtype"],
-    )
+    extras = _value(dict[str, dict], manifest.get("extras", {}), "manifest extras")
+    return Checkpoint(params, config, bpe, extras, tensors, manifest["dtype"])
 
 
 def save_train_state(path, params, model_cfg: ModelConfig, state: TrainState,
                      bpe: BpeModel | None = None) -> None:
     """Resume container: float64 params + Adam moments + best-dev snapshot."""
-    extra = {}
-    for k, v in state.adam_m.items():
-        extra[f"adam.m.{k}"] = v
-    for k, v in state.adam_v.items():
-        extra[f"adam.v.{k}"] = v
-    if state.best_params is not None:
-        for k, v in state.best_params.items():
-            extra[f"best.{k}"] = v
-    extras = {
-        "train_state": {
-            "adam_t": state.adam_t,
-            "next_epoch": state.next_epoch,
-            "best_dev": None if math.isinf(state.best_dev) else state.best_dev,
-            "epochs_since_improve": state.epochs_since_improve,
-            "has_best": state.best_params is not None,
-            "history": [[h.epoch, h.train_loss, h.dev_loss] for h in state.history],
-        }
-    }
+    groups = {"adam.m": state.adam_m, "adam.v": state.adam_v, "best": state.best_params or {}}
+    extra = {f"{g}.{k}": v for g, tensors in groups.items() for k, v in tensors.items()}
+    meta = ResumeMeta(
+        adam_t=state.adam_t,
+        next_epoch=state.next_epoch,
+        best_dev=None if math.isinf(state.best_dev) else state.best_dev,
+        epochs_since_improve=state.epochs_since_improve,
+        has_best=state.best_params is not None,
+        history=tuple((h.epoch, h.train_loss, h.dev_loss) for h in state.history),
+    )
     save_checkpoint(path, params, model_cfg, bpe=bpe, dtype="float64",
-                    extras=extras, extra_tensors=extra)
-
-
-# train_state field -> its check; history rows are [epoch, train_loss, dev_loss]
-_TRAIN_STATE_FIELDS = {
-    "adam_t": _is_count,
-    "next_epoch": _is_count,
-    "best_dev": lambda x: x is None or _is_number(x),
-    "epochs_since_improve": _is_count,
-    "has_best": lambda x: isinstance(x, bool),
-    "history": lambda rows: isinstance(rows, list) and all(
-        isinstance(r, list) and len(r) == 3 and _is_count(r[0])
-        and all(map(_is_number, r[1:])) for r in rows),
-}
+                    extras={"train_state": asdict(meta)}, extra_tensors=extra)
 
 
 def load_train_state(path):
     """Returns (params, model_cfg, state, bpe); inverse of save_train_state."""
     ck = load_checkpoint(path)
-    meta = ck.extras.get("train_state")
-    if meta is None or ck.dtype != "float64":
+    if "train_state" not in ck.extras or ck.dtype != "float64":
         raise DataFormatError("not a training resume checkpoint")
-    if not isinstance(meta, dict):
-        raise DataFormatError("train_state must be an object")
-    for key, ok in _TRAIN_STATE_FIELDS.items():
-        if key not in meta or not ok(meta[key]):
-            raise DataFormatError(f"train_state.{key} missing or ill-typed")
+    meta = _typed(ResumeMeta, ck.extras["train_state"], "manifest extras.train_state")
     shapes = param_shapes(ck.config)
 
     def collect(prefix):
@@ -229,11 +254,11 @@ def load_train_state(path):
     state = TrainState(
         adam_m=collect("adam.m"),
         adam_v=collect("adam.v"),
-        adam_t=meta["adam_t"],
-        next_epoch=meta["next_epoch"],
-        best_dev=math.inf if meta["best_dev"] is None else meta["best_dev"],
-        epochs_since_improve=meta["epochs_since_improve"],
-        best_params=collect("best") if meta["has_best"] else None,
-        history=[EpochStats(e, t, d) for e, t, d in meta["history"]],
+        adam_t=meta.adam_t,
+        next_epoch=meta.next_epoch,
+        best_dev=math.inf if meta.best_dev is None else meta.best_dev,
+        epochs_since_improve=meta.epochs_since_improve,
+        best_params=collect("best") if meta.has_best else None,
+        history=[EpochStats(*row) for row in meta.history],
     )
     return ck.params, ck.config, state, ck.bpe

@@ -35,14 +35,14 @@ class ModelConfig:
     max_tgt_len: int = 48
 
     def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(
-                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
-            )
         for field in ("vocab_size", "n_layers", "n_heads", "d_model", "d_ff",
                       "max_src_len", "max_tgt_len"):
             if getattr(self, field) <= 0:
                 raise ConfigError(f"{field} must be positive")
+        if self.d_model % self.n_heads != 0:
+            raise ConfigError(
+                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
+            )
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
         if self.vocab_size < 33:
@@ -411,13 +411,6 @@ def loss_from_logits(logits, labels):
         raise ValueError("batch has no supervised positions")
     picked = logp[valid, labels[valid]]
     return -picked.sum() / n
-
-
-def loss(p, cfg: ModelConfig, batch) -> float:
-    """Mean NLL of gold next characters over non-padding positions."""
-    src_arr, src_valid, tgt_in, labels = pack_batch(batch)
-    logits, _ = _forward(p, cfg, src_arr, src_valid, tgt_in)
-    return float(loss_from_logits(logits, labels))
 
 
 def loss_and_gradients(p, cfg: ModelConfig, batch, dropout_rng=None):

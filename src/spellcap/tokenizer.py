@@ -43,7 +43,12 @@ EOW_ID = BASE_TOKENS.index(EOW_TOKEN)
 
 @dataclass
 class BpeModel:
-    """Learned merge list plus the full token -> id map."""
+    """Learned merge list plus the full token -> id map.
+
+    Construction checks what a checkpoint's bpe block must hold: the base
+    tokens at their fixed ids, distinct ids, and merges of known tokens whose
+    result is in the vocab; a violation is a DataFormatError.
+    """
 
     vocab: dict[str, int]
     merges: list[tuple[str, str]]
@@ -51,49 +56,18 @@ class BpeModel:
     _merge_rank: dict[tuple[str, str], int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.id_to_token = {i: t for t, i in self.vocab.items()}
-        self._merge_rank = {pair: k for k, pair in enumerate(self.merges)}
-
-    @classmethod
-    def from_parts(cls, vocab: dict[str, int], merges: list[tuple[str, str]]) -> "BpeModel":
-        """Build a model from raw parts, validating the invariants."""
-        for tok, want in zip(BASE_TOKENS, range(len(BASE_TOKENS))):
-            if vocab.get(tok) != want:
+        for want, tok in enumerate(BASE_TOKENS):
+            if self.vocab.get(tok) != want:
                 raise DataFormatError(f"base token {tok!r} missing or misnumbered")
-        ids = list(vocab.values())
-        if len(set(ids)) != len(ids):
+        self.id_to_token = {i: t for t, i in self.vocab.items()}
+        if len(self.id_to_token) != len(self.vocab):
             raise DataFormatError("duplicate ids in vocab")
-        for left, right in merges:
-            if left not in vocab or right not in vocab:
+        for left, right in self.merges:
+            if left not in self.vocab or right not in self.vocab:
                 raise DataFormatError(f"merge ({left!r}, {right!r}) references unknown token")
-            if left + right not in vocab:
+            if left + right not in self.vocab:
                 raise DataFormatError(f"merged token {left + right!r} missing from vocab")
-        return cls(vocab=dict(vocab), merges=list(merges))
-
-    def to_manifest(self) -> dict:
-        """JSON-ready dict (used inside model checkpoints)."""
-        return {
-            "vocab": dict(self.vocab),
-            "merges": [list(p) for p in self.merges],
-        }
-
-    @classmethod
-    def from_manifest(cls, obj) -> "BpeModel":
-        """Inverse of ``to_manifest``; a malformed block is a DataFormatError."""
-        if not isinstance(obj, dict):
-            raise DataFormatError("bpe block must be an object")
-        vocab, merges = obj.get("vocab"), obj.get("merges")
-        if not isinstance(vocab, dict) or not all(type(i) is int for i in vocab.values()):
-            raise DataFormatError("bpe vocab must map tokens to integer ids")
-        if not isinstance(merges, list) or not all(
-                isinstance(m, list) and len(m) == 2 and all(isinstance(t, str) for t in m)
-                for m in merges):
-            raise DataFormatError("bpe merges must be a list of two-string pairs")
-        return cls.from_parts(vocab, [tuple(m) for m in merges])
-
-
-def _base_vocab() -> dict[str, int]:
-    return {tok: i for i, tok in enumerate(BASE_TOKENS)}
+        self._merge_rank = {pair: k for k, pair in enumerate(self.merges)}
 
 
 def _word_symbols(word: str) -> list[str]:
@@ -128,7 +102,7 @@ def learn_bpe(corpus: list[str], n_merges: int) -> BpeModel:
     if not word_freq:
         raise ValueError("empty corpus")
 
-    vocab = _base_vocab()
+    vocab = {tok: i for i, tok in enumerate(BASE_TOKENS)}
     seqs = {w: _word_symbols(w) for w in word_freq}
     merges: list[tuple[str, str]] = []
 

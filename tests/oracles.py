@@ -1,10 +1,13 @@
 """Slow reference implementations the tests compare against.
 
 Everything here is written the dumbest defensible way (plain recursion, full
-recomputation per point) so it shares no code path with the package.
+recomputation per point) so it shares no code path with the package. The one
+builder at the end, ``hypothesis_from_text``, only wraps package types.
 """
 
 from functools import lru_cache
+
+from spellcap.baseline import AsrHypothesis, AsrToken
 
 
 def pair_counts(corpus):
@@ -123,3 +126,8 @@ def beam_search(next_logprobs, beam_width, max_len):
     completed += [(classes, score, False) for classes, score in live]
     completed.sort(key=lambda c: -c[1])
     return completed[:beam_width]
+
+
+def hypothesis_from_text(text, rank=1, confidence=1.0):
+    """A hypothesis from plain text with one confidence for every word."""
+    return AsrHypothesis(tuple(AsrToken(w, confidence) for w in text.split()), rank=rank)

@@ -16,7 +16,6 @@ from spellcap.baseline import (
     AsrToken,
     baseline_predict,
     edit_distance,
-    hypothesis_from_text,
 )
 from spellcap.datagen import (
     NoiseConfig,
@@ -40,7 +39,6 @@ from spellcap.seq2seq import (
     greedy_decode,
     init_parameters,
     load_checkpoint,
-    loss,
     loss_and_gradients,
     pairs_from_samples,
     predict_name,
@@ -49,7 +47,7 @@ from spellcap.seq2seq import (
 )
 from spellcap.tokenizer import char_encode, learn_bpe
 
-from oracles import er_sweep, fd_gradient, lev_recursive, wer_recursive
+from oracles import er_sweep, fd_gradient, hypothesis_from_text, lev_recursive, wer_recursive
 
 
 def _mark(line):
@@ -183,7 +181,8 @@ def test_analytic_gradients_match_finite_differences():
     for path in sorted(params):
         flat = grads[path].reshape(-1)
         coords = rng.choice(flat.size, size=min(20, flat.size), replace=False)
-        fd = fd_gradient(lambda p: loss(p, cfg, batch), params, path, coords)
+        fd = fd_gradient(lambda p: loss_and_gradients(p, cfg, batch)[0], params, path,
+                         coords)
         for c, num in zip(coords, fd):
             rel = abs(flat[c] - num) / max(abs(flat[c]), abs(num), 1e-8)
             assert rel <= 1e-4, (path, int(c), flat[c], num)

@@ -10,10 +10,9 @@ from spellcap.baseline import (
     edit_distance,
     edit_distance_confidence,
     extract_spelled_letters,
-    hypothesis_from_text,
 )
 
-from oracles import lev_recursive
+from oracles import hypothesis_from_text, lev_recursive
 
 
 def hyp(pairs, rank=1):

@@ -1,8 +1,11 @@
+import copy
 import json
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spellcap import tokenizer as tk
 from spellcap.errors import ConfigError, DataFormatError
@@ -150,6 +153,20 @@ def _bpe_id_beyond_vocab(m):
     m["bpe"]["merges"].append(["z", "z"])
 
 
+def _set_config(key, value):
+    def corrupt(m):
+        m["config"][key] = value
+    return corrupt
+
+
+def _negative_shape(m):
+    m["tensors"][0]["shape"] = [-1, 0]
+
+
+def _overflowing_shape(m):
+    m["tensors"][0].update(shape=[2**32, 2**32], nbytes=0)  # 2**64 elements
+
+
 def _rewrite_manifest(path, corrupt):
     blob = path.read_bytes()
     nl = blob.find(b"\n")
@@ -166,8 +183,16 @@ def _rewrite_manifest(path, corrupt):
     (_bpe_without_merges, "bpe merges"),
     (_bpe_not_object, "bpe block"),
     (_bpe_id_beyond_vocab, "'zz' has id 9999"),
+    (_set_config("n_layers", 1.5), r"config\.n_layers must be int, got 1\.5"),
+    (_set_config("d_model", 8.0), r"config\.d_model must be int"),
+    (_set_config("n_heads", True), r"config\.n_heads must be int, got True"),
+    (_set_config("vocab_size", 40.0), r"config\.vocab_size must be int"),
+    (_negative_shape, "negative shape"),
+    (_overflowing_shape, "nbytes/shape mismatch"),
 ], ids=["no_tensors", "no_config", "unknown_config_key", "string_shape",
-        "bpe_without_merges", "bpe_not_object", "bpe_id_beyond_vocab"])
+        "bpe_without_merges", "bpe_not_object", "bpe_id_beyond_vocab",
+        "fractional_n_layers", "float_d_model", "bool_n_heads", "float_vocab_size",
+        "negative_shape", "overflowing_shape"])
 def test_malformed_manifest_rejected(tmp_path, params, corrupt, match):
     path = tmp_path / "m.ckpt"
     save_checkpoint(str(path), params, CFG, bpe=tk.learn_bpe(["vera v e r a"], 3))
@@ -214,3 +239,50 @@ def test_missing_parameter_rejected(tmp_path, params):
     incomplete.pop("output.bias")
     with pytest.raises(ValueError, match="missing parameter"):
         save_checkpoint(str(tmp_path / "m.ckpt"), incomplete, CFG)
+
+
+_DELETE = object()
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """A model checkpoint with a BPE block and its resume file, each as
+    (path, manifest, tensor bytes, loader)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    params = init_parameters(CFG, seed=3)
+    bpe = tk.learn_bpe(["vera v e r a"], 3)
+    state = TrainState.fresh(params)
+    state.history.append(EpochStats(0, 1.5, 2.5))
+    state.best_params = params
+    save_checkpoint(str(root / "m.ckpt"), params, CFG, bpe=bpe)
+    save_train_state(str(root / "m.ckpt.resume"), params, CFG, state, bpe=bpe)
+    out = {}
+    for name, load in (("m.ckpt", load_checkpoint), ("m.ckpt.resume", load_train_state)):
+        head, _, rest = (root / name).read_bytes().partition(b"\n")
+        out[name] = (root / ("fuzzed." + name), json.loads(head), rest, load)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_manifest_ends_in_typed_error(saved_files, data):
+    """Delete any key or list item of the manifest, or replace its value with a
+    value of another JSON type: loading returns or raises only
+    DataFormatError or ConfigError, never a raw exception."""
+    path, manifest, rest, load = saved_files[data.draw(st.sampled_from(sorted(saved_files)))]
+    edited = copy.deepcopy(manifest)
+    parent, key, node = None, None, edited
+    while isinstance(node, (dict, list)) and node and (key is None or data.draw(st.booleans())):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(keys))
+        node = parent[key]
+    value = data.draw(st.sampled_from([_DELETE, None, True, 1.5, -1, "x", [], {}]))
+    if value is _DELETE:
+        del parent[key]
+    else:
+        parent[key] = value
+    path.write_bytes(json.dumps(edited).encode() + b"\n" + rest)
+    try:
+        load(str(path))
+    except (DataFormatError, ConfigError):
+        pass

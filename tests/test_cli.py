@@ -356,6 +356,12 @@ def test_predict_malformed_bpe_block_exits_3(pipeline, tmp_path, capsys):
     assert code == 3 and "bpe merges" in err
 
 
+def test_predict_fractional_layer_count_exits_3(pipeline, tmp_path, capsys):
+    code, err = predict_with_manifest(pipeline, tmp_path, capsys,
+                                      lambda m: m["config"].update(n_layers=1.5))
+    assert code == 3 and "config.n_layers must be int, got 1.5" in err
+
+
 @pytest.mark.parametrize("lines, line_no", [
     (["v e r a", "a " * 200], 2),
     (["1|v/0.9 e/0.9|vera", "2|v/0.5|vera", "1|" + "a/0.9 " * 200 + "|ann"], 3),
@@ -550,6 +556,14 @@ def test_eval_malformed_results_exits_3(tmp_path, capsys):
     res.write_text("only\ttwo\n")
     code, _, _ = run(capsys, "eval", str(res))
     assert code == 3
+
+
+@pytest.mark.parametrize("conf", ["nan", "inf", "-inf"])
+def test_eval_non_finite_confidence_exits_3(tmp_path, capsys, conf):
+    res = tmp_path / "r.tsv"
+    res.write_text(f"vera\tvera\t-0.5\tseq2seq\nann\tann\t{conf}\tseq2seq\n")
+    code, _, err = run(capsys, "eval", str(res))
+    assert code == 3 and "line 2:" in err and repr(conf) in err
 
 
 def test_predict_and_baseline_outputs_feed_eval(pipeline, tmp_path, capsys):

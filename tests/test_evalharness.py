@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import er_sweep, wer_recursive
-from spellcap.baseline import Prediction, baseline_predict, hypothesis_from_text
+from oracles import er_sweep, hypothesis_from_text, wer_recursive
+from spellcap.baseline import Prediction, baseline_predict
 from spellcap.errors import DataFormatError
 from spellcap.evalharness import (
     ErPoint,

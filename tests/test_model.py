@@ -39,6 +39,8 @@ def test_config_validation():
         M.ModelConfig(vocab_size=40, dropout=1.0)
     with pytest.raises(ConfigError):
         M.ModelConfig(vocab_size=40, n_layers=0)
+    with pytest.raises(ConfigError, match="n_heads must be positive"):
+        M.ModelConfig(vocab_size=40, n_heads=0)
     cfg = M.ModelConfig(vocab_size=64)
     assert M.ModelConfig(**asdict(cfg)) == cfg  # the checkpoint manifest's form
 
@@ -70,7 +72,7 @@ def test_positional_encoding_values():
 
 def test_untrained_loss_near_uniform(params):
     batch = pairs(seed=3, n=6)
-    value = M.loss(params, TINY, batch)
+    value = M.loss_and_gradients(params, TINY, batch)[0]
     assert abs(value - np.log(M.N_CLASSES)) / np.log(M.N_CLASSES) < 0.15
 
 
@@ -132,8 +134,8 @@ def test_attention_rows_are_distributions(params):
 
 def test_duplicating_batch_keeps_mean_loss(params):
     batch = pairs(seed=9, n=4)
-    a = M.loss(params, TINY, batch)
-    b = M.loss(params, TINY, batch + batch)
+    a = M.loss_and_gradients(params, TINY, batch)[0]
+    b = M.loss_and_gradients(params, TINY, batch + batch)[0]
     assert abs(a - b) <= 1e-9
 
 
@@ -173,7 +175,8 @@ def test_gradients_match_finite_differences(params):
                  "decoder.0.ffn.b1", "encoder.norm.gain", "output.weight"):
         flat = grads[path].reshape(-1)
         coords = rng.choice(flat.size, size=min(4, flat.size), replace=False)
-        fd = fd_gradient(lambda p: M.loss(p, TINY, batch), params, path, coords)
+        fd = fd_gradient(lambda p: M.loss_and_gradients(p, TINY, batch)[0], params, path,
+                         coords)
         for c, num in zip(coords, fd):
             rel = abs(flat[c] - num) / max(abs(flat[c]), abs(num), 1e-8)
             assert rel <= 1e-4, (path, c, flat[c], num)
@@ -186,22 +189,22 @@ def test_dropout_train_eval_mismatch(params):
                         dropout=0.5, max_src_len=32, max_tgt_len=16)
     p = M.init_parameters(cfg, seed=0)
     batch = pairs(seed=2, n=2)
-    quiet = M.loss(p, cfg, batch)
+    quiet = M.loss_and_gradients(p, cfg, batch)[0]
     noisy, _ = M.loss_and_gradients(p, cfg, batch, dropout_rng=np.random.default_rng(1))
     assert quiet != noisy  # dropout active only when an rng is supplied
-    again = M.loss(p, cfg, batch)
+    again = M.loss_and_gradients(p, cfg, batch)[0]
     assert quiet == again
 
 
 def test_batch_contract_errors(params):
     with pytest.raises(ValueError, match="empty batch"):
-        M.loss(params, TINY, [])
+        M.pack_batch([])
     with pytest.raises(ValueError, match="empty source"):
-        M.loss(params, TINY, [([], [1, 4, 2])])
+        M.pack_batch([([], [1, 4, 2])])
     with pytest.raises(ValueError, match="BOS"):
-        M.loss(params, TINY, [([4], [4, 2])])
+        M.pack_batch([([4], [4, 2])])
     with pytest.raises(ValueError, match="max_src_len"):
-        M.loss(params, TINY, [(list(range(4, 38)) * 2, [1, 4, 2])])
+        M.loss_and_gradients(params, TINY, [(list(range(4, 38)) * 2, [1, 4, 2])])
     with pytest.raises(ValueError, match="not a decoder output symbol"):
         M.pack_batch([([4], [1, 33, 2])])
     with pytest.raises(ValueError, match="empty source"):
