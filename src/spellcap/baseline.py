@@ -90,11 +90,6 @@ def baseline_predict(nbest) -> Prediction:
     return Prediction("", 0.0, "baseline")
 
 
-def edit_distance(a: str, b: str) -> int:
-    """Unit-cost Levenshtein distance between two strings."""
-    return kernels.levenshtein_ids(a, b)
-
-
 def edit_distance_confidence(pred: Prediction, hyp: AsrHypothesis) -> float:
     """1 - d/max(lengths) against the first multi-character word of ``hyp``.
 
@@ -105,5 +100,5 @@ def edit_distance_confidence(pred: Prediction, hyp: AsrHypothesis) -> float:
     if not words or not pred.name:
         return pred.confidence
     ref = words[0].word
-    d = edit_distance(pred.name, ref)
+    d = kernels.levenshtein_ids(pred.name, ref)
     return 1.0 - d / max(len(pred.name), len(ref))

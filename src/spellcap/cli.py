@@ -105,7 +105,7 @@ def cmd_generate(args) -> int:
     lex = load_lexicon(args.lexicon or default_lexicon_path())
     cfg = NoiseConfig(**read_config(args.noise, NoiseConfig))
     seed = _resolve_seed(args.seed)
-    tagged = generate_dataset(lex, args.n, cfg, seed, with_patterns=True)
+    tagged = generate_dataset(lex, args.n, cfg, seed)
     samples = [s for s, _ in tagged]
     mix = Counter(p for _, p in tagged)
     if args.dev_out:
@@ -150,8 +150,6 @@ def cmd_train(args) -> int:
         if args.model_config:
             raise ConfigError("--model-config cannot be combined with --resume")
         params, model_cfg, state, bpe = load_train_state(args.resume)
-        if bpe is None:
-            raise ConfigError(f"{args.resume} carries no tokenizer")
     else:
         model_kwargs = read_config(args.model_config, ModelConfig,
                                    skip=("vocab_size",), n_merges=int)
@@ -193,9 +191,6 @@ def cmd_predict(args) -> int:
     from .seq2seq import load_checkpoint, predict_name
 
     ck = load_checkpoint(args.checkpoint)
-    if ck.bpe is None:
-        raise ConfigError(f"{args.checkpoint} carries no tokenizer; "
-                          "cannot encode input text")
     if args.beam_width < 1:
         raise ConfigError(f"--beam-width must be >= 1, got {args.beam_width}")
     lines = _read_input_lines(args.input)

@@ -8,6 +8,7 @@ to the words it touched. The gold label is always the intended name, never
 the garbled transcript.
 """
 
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -113,8 +114,9 @@ class NoiseConfig:
         w = tuple(float(x) for x in self.pattern_weights)
         if len(w) != len(PATTERNS):
             raise ConfigError(f"pattern_weights needs {len(PATTERNS)} entries, got {len(w)}")
-        if any(x < 0 for x in w) or sum(w) <= 0:
-            raise ConfigError("pattern_weights must be non-negative with a positive sum")
+        if not all(0 <= x < math.inf for x in w) or sum(w) <= 0:
+            raise ConfigError("pattern_weights must be finite and non-negative "
+                              "with a positive sum")
         object.__setattr__(self, "pattern_weights", w)
 
 
@@ -149,8 +151,8 @@ class Lexicon:
             w = tuple(float(x) for x in self.weights)
             if len(w) != len(self.names):
                 raise ValueError("weights length differs from names length")
-            if any(x <= 0 for x in w):
-                raise ValueError("weights must be positive")
+            if not all(0 < x < math.inf for x in w):
+                raise ValueError("weights must be finite and positive")
             object.__setattr__(self, "weights", w)
 
 
@@ -185,9 +187,9 @@ def load_lexicon(path) -> Lexicon:
                 except ValueError:
                     raise DataFormatError(f"bad weight {wtext.strip()!r}",
                                           line_no=line_no) from None
-                if w <= 0:
-                    raise DataFormatError(f"weight must be positive, got {w}",
-                                          line_no=line_no)
+                if not 0 < w < math.inf:
+                    raise DataFormatError("weight must be finite and positive, "
+                                          f"got {w}", line_no=line_no)
             if name in seen:
                 continue
             seen.add(name)
@@ -303,13 +305,8 @@ def corrupt(clean, gold: str, cfg: NoiseConfig, rng, distractors=None) -> Labele
     return LabeledSample(nbest, gold)
 
 
-def generate_dataset(lex: Lexicon, n: int, cfg: NoiseConfig, seed: int,
-                     with_patterns: bool = False) -> list:
-    """Deterministic sample stream for (lexicon, n, config, seed).
-
-    With ``with_patterns`` each element is a (sample, pattern name) pair; the
-    sample stream itself is identical either way.
-    """
+def generate_dataset(lex: Lexicon, n: int, cfg: NoiseConfig, seed: int) -> list:
+    """Deterministic (sample, pattern name) stream for (lexicon, n, config, seed)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
@@ -329,7 +326,7 @@ def generate_dataset(lex: Lexicon, n: int, cfg: NoiseConfig, seed: int,
             if rng.random() < cfg.label_error_prob:
                 others = [m for m in lex.names if m != name]
                 sample = replace(sample, gold=others[int(rng.integers(len(others)))])
-        samples.append((sample, pattern) if with_patterns else sample)
+        samples.append((sample, pattern))
     return samples
 
 
@@ -396,12 +393,16 @@ def parse_dataset_lines(lines, where: str = "input") -> list:
     """Parse the line format written by save_dataset, grouping on rank resets."""
     samples: list = []
     group: list = []
-    group_gold = None
+    group_gold = group_line = None
 
     def flush():
         nonlocal group, group_gold
         if group:
-            samples.append(LabeledSample(tuple(group), group_gold))
+            try:
+                sample = LabeledSample(tuple(group), group_gold)
+            except ValueError as e:  # e.g. more than 3 hypotheses
+                raise DataFormatError(str(e), line_no=group_line) from None
+            samples.append(sample)
         group, group_gold = [], None
 
     for line_no, raw in enumerate(lines, start=1):
@@ -411,7 +412,7 @@ def parse_dataset_lines(lines, where: str = "input") -> list:
         rank, hyp, gold = _parse_line(line, line_no)
         if rank == 1:
             flush()
-            group, group_gold = [hyp], gold
+            group, group_gold, group_line = [hyp], gold, line_no
         else:
             if not group:
                 raise DataFormatError(f"rank {rank} before any rank-1 line",

@@ -1,14 +1,15 @@
 """Checkpoint container: one JSON manifest line, then raw array bytes.
 
 The manifest holds ``format``, ``dtype``, ``config`` (the ``ModelConfig``
-fields), an optional ``bpe`` block (tokenizer ``vocab`` and ``merges``),
-``tensors`` (path/shape/byte-offset/nbytes entries in write order) and
-optional ``extras``, where a float64 training resume file keeps its
-``train_state`` beside ``adam.*``/``best.*`` tensors, so a resumed run
-continues bit-exactly. Each block is read by ``_typed`` against its
-dataclass fields: a missing or unknown key or a value of the wrong JSON type
-is a DataFormatError (exit 3) naming its path, such as ``config.n_layers``,
-as are tokenizer ids outside the model vocabulary; a config value breaking a
+fields), ``bpe`` (the ``vocab`` and ``merges`` of the tokenizer the model was
+trained with, which every checkpoint carries), ``tensors``
+(path/shape/byte-offset/nbytes entries in write order) and optional
+``extras``, where a float64 training resume file keeps its ``train_state``
+beside ``adam.*``/``best.*`` tensors, so a resumed run continues bit-exactly.
+Each block is read by ``_typed`` against its dataclass fields: a missing block
+or key, an unknown key or a value of the wrong JSON type is a DataFormatError
+(exit 3) naming its path, such as ``manifest bpe`` or ``config.n_layers``, as
+are tokenizer ids outside the model vocabulary; a config value breaking a
 ``ModelConfig`` rule or a tensor shape disagreeing with it is a ConfigError
 (exit 2).
 """
@@ -170,7 +171,7 @@ def _read(path):
     return manifest, tensors
 
 
-def save_checkpoint(path, params, model_cfg: ModelConfig, bpe: BpeModel | None = None,
+def save_checkpoint(path, params, model_cfg: ModelConfig, bpe: BpeModel,
                     dtype: str = "float32", extras: dict[str, dict] | None = None,
                     extra_tensors: dict[str, np.ndarray] | None = None) -> None:
     """Write parameters (canonical order first, extras after the core set)."""
@@ -179,9 +180,8 @@ def save_checkpoint(path, params, model_cfg: ModelConfig, bpe: BpeModel | None =
     if missing := [p for p in param_shapes(model_cfg) if p not in params]:
         raise ValueError(f"missing parameter {missing[0]}")
     ordered = {**{p: params[p] for p in param_shapes(model_cfg)}, **(extra_tensors or {})}
-    manifest = {"config": asdict(model_cfg)}
-    if bpe is not None:
-        manifest["bpe"] = {"vocab": bpe.vocab, "merges": bpe.merges}
+    manifest = {"config": asdict(model_cfg),
+                "bpe": {"vocab": bpe.vocab, "merges": bpe.merges}}
     if extras:
         manifest["extras"] = extras
     _write(path, manifest, ordered, dtype)
@@ -191,7 +191,7 @@ def save_checkpoint(path, params, model_cfg: ModelConfig, bpe: BpeModel | None =
 class Checkpoint:
     params: dict[str, np.ndarray]
     config: ModelConfig
-    bpe: BpeModel | None
+    bpe: BpeModel
     extras: dict[str, dict]
     extra_tensors: dict[str, np.ndarray]
     dtype: str
@@ -208,8 +208,8 @@ def load_checkpoint(path) -> Checkpoint:
         if tensors[p].shape != shape:  # config/tensor disagreement, not corruption
             raise ConfigError(f"parameter {p}: shape {tensors[p].shape} does not match {shape}")
         params[p] = tensors.pop(p)
-    bpe = _value(BpeModel | None, manifest.get("bpe"), "manifest bpe")
-    for tok, i in (bpe.vocab.items() if bpe else ()):
+    bpe = _typed(BpeModel, manifest.get("bpe"), "manifest bpe")
+    for tok, i in bpe.vocab.items():
         if not 0 <= i < config.vocab_size:
             raise DataFormatError(f"bpe token {tok!r} has id {i} outside "
                                   f"[0, vocab_size {config.vocab_size})")
@@ -218,7 +218,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def save_train_state(path, params, model_cfg: ModelConfig, state: TrainState,
-                     bpe: BpeModel | None = None) -> None:
+                     bpe: BpeModel) -> None:
     """Resume container: float64 params + Adam moments + best-dev snapshot."""
     groups = {"adam.m": state.adam_m, "adam.v": state.adam_v, "best": state.best_params or {}}
     extra = {f"{g}.{k}": v for g, tensors in groups.items() for k, v in tensors.items()}

@@ -32,7 +32,7 @@ class DecodeResult:
     reached_eos: bool
 
 
-def _search(p, cfg, src_ids, width, max_len):
+def _search(p, cfg, src_ids, width):
     """Length-unnormalized beam search; returns results sorted by logprob.
 
     Each step expands every live prefix by all classes and keeps the global
@@ -42,13 +42,11 @@ def _search(p, cfg, src_ids, width, max_len):
     stops once the best live score cannot beat the best completed one
     (scores only decrease along a path).
     """
-    if max_len is None:
-        max_len = cfg.max_tgt_len
     cache = decoder_cache(p, cfg, encode(p, cfg, src_ids))
     live = [[BOS_ID]]
     scores = np.zeros(1)
     completed: list[DecodeResult] = []
-    for _ in range(max_len):
+    for _ in range(cfg.max_tgt_len):
         logp = _log_softmax(decoder_forward(p, cfg, cache, [s[-1] for s in live]))
         n_classes = logp.shape[1]
         pool = (scores[:, None] + logp).ravel()
@@ -73,17 +71,16 @@ def _search(p, cfg, src_ids, width, max_len):
     return completed[:width]
 
 
-def greedy_decode(p, cfg: ModelConfig, src_ids, max_len: int | None = None) -> DecodeResult:
-    """Argmax characters until EOS or ``max_len`` emitted symbols."""
-    return _search(p, cfg, src_ids, 1, max_len)[0]
+def greedy_decode(p, cfg: ModelConfig, src_ids) -> DecodeResult:
+    """Argmax characters until EOS or ``cfg.max_tgt_len`` emitted symbols."""
+    return _search(p, cfg, src_ids, 1)[0]
 
 
-def beam_decode(p, cfg: ModelConfig, src_ids, beam_width: int,
-                max_len: int | None = None) -> list[DecodeResult]:
+def beam_decode(p, cfg: ModelConfig, src_ids, beam_width: int) -> list[DecodeResult]:
     """Beam search of width ``beam_width``; returns results sorted by logprob."""
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
-    return _search(p, cfg, src_ids, beam_width, max_len)
+    return _search(p, cfg, src_ids, beam_width)
 
 
 def predict_name(p, cfg: ModelConfig, bpe, text: str, beam_width: int = 1,

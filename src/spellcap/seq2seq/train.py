@@ -3,7 +3,8 @@
 Epoch e draws its shuffle and dropout noise from ``default_rng([seed, e])``,
 so resuming from a saved state replays the exact remaining epochs: one epoch
 plus one resumed epoch equals two straight epochs bit for bit (the resume
-container stores float64).
+container stores float64), and a resumed run that had already stopped early
+trains no further epoch.
 """
 
 import math
@@ -30,8 +31,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        for key in ("learning_rate", "eps"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("betas must lie in [0, 1)")
         if self.patience is not None and self.patience < 1:
@@ -131,9 +133,14 @@ def train(params, model_cfg: ModelConfig, train_pairs, dev_pairs, cfg: TrainConf
     if state is None:
         state = TrainState.fresh(params)
     n = len(train_pairs)
-    stopped_early = False
+
+    def patience_spent():
+        return (bool(dev_pairs) and cfg.patience is not None
+                and state.epochs_since_improve >= cfg.patience)
 
     for epoch in range(state.next_epoch, cfg.epochs):
+        if patience_spent():
+            break
         rng = np.random.default_rng([cfg.seed, epoch])
         perm = rng.permutation(n)
         batch_losses = []
@@ -162,9 +169,6 @@ def train(params, model_cfg: ModelConfig, train_pairs, dev_pairs, cfg: TrainConf
                 state.best_params = {k: v.copy() for k, v in params.items()}
             else:
                 state.epochs_since_improve += 1
-                if cfg.patience is not None and state.epochs_since_improve >= cfg.patience:
-                    stopped_early = True
-                    break
 
     if dev_pairs and state.best_params is not None:
         out_params = state.best_params
@@ -180,5 +184,5 @@ def train(params, model_cfg: ModelConfig, train_pairs, dev_pairs, cfg: TrainConf
         history=list(state.history),
         state=state,
         best_epoch=best_epoch,
-        stopped_early=stopped_early,
+        stopped_early=patience_spent(),
     )

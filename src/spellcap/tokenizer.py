@@ -9,8 +9,7 @@ smallest (left, right) pair. The boundary marker terminates every word, which
 keeps merges from crossing word boundaries; the marker itself never merges.
 
 Encoding appends the marker token after each word and then drops a single
-standalone trailing marker, so ``bpe_encode(m, "ab")`` is ``[id(a), id(b)]``
-while ``bpe_decode(bpe_encode(m, "a b"))`` still recovers ``"a b"``.
+standalone trailing marker, so ``bpe_encode(m, "ab")`` is ``[id(a), id(b)]``.
 """
 
 from collections import Counter
@@ -52,15 +51,13 @@ class BpeModel:
 
     vocab: dict[str, int]
     merges: list[tuple[str, str]]
-    id_to_token: dict[int, str] = field(init=False, repr=False)
     _merge_rank: dict[tuple[str, str], int] = field(init=False, repr=False)
 
     def __post_init__(self):
         for want, tok in enumerate(BASE_TOKENS):
             if self.vocab.get(tok) != want:
                 raise DataFormatError(f"base token {tok!r} missing or misnumbered")
-        self.id_to_token = {i: t for t, i in self.vocab.items()}
-        if len(self.id_to_token) != len(self.vocab):
+        if len(set(self.vocab.values())) != len(self.vocab):
             raise DataFormatError("duplicate ids in vocab")
         for left, right in self.merges:
             if left not in self.vocab or right not in self.vocab:
@@ -156,17 +153,6 @@ def bpe_encode(model: BpeModel, text: str) -> list[int]:
     if ids and ids[-1] == EOW_ID:
         ids.pop()
     return ids
-
-
-def bpe_decode(model: BpeModel, ids: list[int]) -> str:
-    """Invert bpe_encode; boundary markers become spaces."""
-    parts = []
-    for i in ids:
-        tok = model.id_to_token.get(i)
-        if tok is None:
-            raise ValueError(f"invalid token id {i}")
-        parts.append(tok)
-    return "".join(parts).replace(EOW_TOKEN, " ").rstrip(" ")
 
 
 def char_encode(name: str) -> list[int]:

@@ -8,6 +8,7 @@ builder at the end, ``hypothesis_from_text``, only wraps package types.
 from functools import lru_cache
 
 from spellcap.baseline import AsrHypothesis, AsrToken
+from spellcap.tokenizer import EOW_TOKEN
 
 
 def pair_counts(corpus):
@@ -128,6 +129,18 @@ def beam_search(next_logprobs, beam_width, max_len):
     return completed[:beam_width]
 
 
+def bpe_decode(model, ids):
+    """Invert ``bpe_encode``: join the tokens, boundary markers become spaces."""
+    id_to_token = {i: t for t, i in model.vocab.items()}
+    parts = []
+    for i in ids:
+        if i not in id_to_token:
+            raise ValueError(f"invalid token id {i}")
+        parts.append(id_to_token[i])
+    return "".join(parts).replace(EOW_TOKEN, " ").rstrip(" ")
+
+
 def hypothesis_from_text(text, rank=1, confidence=1.0):
     """A hypothesis from plain text with one confidence for every word."""
     return AsrHypothesis(tuple(AsrToken(w, confidence) for w in text.split()), rank=rank)
+

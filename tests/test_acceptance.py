@@ -7,6 +7,7 @@ is seconds.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from spellcap.baseline import (
     AsrHypothesis,
     AsrToken,
     baseline_predict,
-    edit_distance,
 )
 from spellcap.datagen import (
     NoiseConfig,
@@ -31,20 +31,20 @@ from spellcap.evalharness import (
     exact_match_error,
     word_error_rate,
 )
+from spellcap.kernels import levenshtein_ids
 from spellcap.seq2seq import (
     ModelConfig,
     TrainConfig,
-    beam_decode,
     forward_details,
-    greedy_decode,
     init_parameters,
     load_checkpoint,
-    loss_and_gradients,
     pairs_from_samples,
     predict_name,
     save_checkpoint,
     train,
 )
+from spellcap.seq2seq.decode import beam_decode, greedy_decode
+from spellcap.seq2seq.model import loss_and_gradients
 from spellcap.tokenizer import char_encode, learn_bpe
 
 from oracles import er_sweep, fd_gradient, hypothesis_from_text, lev_recursive, wer_recursive
@@ -94,6 +94,10 @@ def _decode_results(system, samples):
     ]
 
 
+def _generate(lex, n, cfg, seed):
+    return [s for s, _ in generate_dataset(lex, n, cfg, seed=seed)]
+
+
 def _baseline_results(samples):
     return [ScoredResult(baseline_predict(list(s.nbest)), s.gold)
             for s in samples]
@@ -105,9 +109,9 @@ def _build_noisy_system(seed_base):
     nato_noise = NoiseConfig(letter_sub_prob=0.15, nato_prob=1.0,
                              fullname_prob=0.2,
                              pattern_weights=(0.0, 0.0, 0.0, 1.0, 1.0))
-    train_samples = generate_dataset(lex, 5000, noise, seed=seed_base)
-    test_samples = generate_dataset(lex, 500, noise, seed=seed_base + 1)
-    slice_samples = generate_dataset(lex, 500, nato_noise, seed=seed_base + 2)
+    train_samples = _generate(lex, 5000, noise, seed=seed_base)
+    test_samples = _generate(lex, 500, noise, seed=seed_base + 1)
+    slice_samples = _generate(lex, 500, nato_noise, seed=seed_base + 2)
 
     bpe = learn_bpe([s.nbest[0].text() for s in train_samples], 200)
     cfg = ModelConfig(vocab_size=len(bpe.vocab), dropout=0.0)
@@ -147,7 +151,7 @@ def test_transducer_beats_baseline_on_nato_heavy_slice(noisy_system):
 def test_clean_channel_baseline_perfect_and_transducer_low_error():
     lex = load_lexicon(default_lexicon_path())
     clean = NoiseConfig(pattern_weights=(1.0, 1.0, 0.0, 0.0, 0.0))
-    samples = generate_dataset(lex, 2200, clean, seed=201)
+    samples = _generate(lex, 2200, clean, seed=201)
     assert exact_match_error(_baseline_results(samples)) == 0.0
 
     train_s, dev_s = train_dev_split(samples, dev_fraction=0.1, seed=0)
@@ -221,10 +225,11 @@ def test_structural_invariants_hold():
             assert np.max(np.abs(sums - 1.0)) <= 1e-6
 
     # width-1 beam and greedy are the same decoder
+    short = replace(cfg, max_tgt_len=8)
     for seed in range(4):
         s = list(np.random.default_rng(seed).integers(4, 40, size=8))
-        g = greedy_decode(params, cfg, s, max_len=8)
-        b = beam_decode(params, cfg, s, 1, max_len=8)[0]
+        g = greedy_decode(params, short, s)
+        b = beam_decode(params, short, s, 1)[0]
         assert b.name == g.name
         assert abs(b.logprob - g.logprob) <= 1e-9
 
@@ -238,16 +243,17 @@ def test_checkpoint_roundtrip_predictions_bit_identical(tmp_path):
     params = init_parameters(cfg, seed=9)
     first = tmp_path / "a.ckpt"
     second = tmp_path / "b.ckpt"
-    save_checkpoint(str(first), params, cfg)
+    bpe = learn_bpe(["vera v e r a"], 3)
+    save_checkpoint(str(first), params, cfg, bpe)
     ck1 = load_checkpoint(str(first))
-    save_checkpoint(str(second), ck1.params, ck1.config)
+    save_checkpoint(str(second), ck1.params, ck1.config, ck1.bpe)
     ck2 = load_checkpoint(str(second))
 
     srcs = [list(np.random.default_rng(s).integers(4, 40, size=9))
             for s in range(6)]
     for src in srcs:
-        r1 = greedy_decode(ck1.params, ck1.config, src, max_len=8)
-        r2 = greedy_decode(ck2.params, ck2.config, src, max_len=8)
+        r1 = greedy_decode(ck1.params, replace(ck1.config, max_tgt_len=8), src)
+        r2 = greedy_decode(ck2.params, replace(ck2.config, max_tgt_len=8), src)
         assert r1.name == r2.name
         assert r1.logprob == r2.logprob  # bit-identical, no tolerance
     _mark("checkpoint save, load, predict is bit-identical across cycles")
@@ -325,7 +331,7 @@ def test_distance_metrics_match_recursive_oracle():
     for _ in range(300):
         a = "".join(rng.choice(list(letters), size=rng.integers(0, 7)))
         b = "".join(rng.choice(list(letters), size=rng.integers(0, 7)))
-        assert edit_distance(a, b) == lev_recursive(a, b)
+        assert levenshtein_ids(a, b) == lev_recursive(a, b)
 
     for _ in range(300):
         hyp = [words[i] for i in rng.integers(0, len(words), rng.integers(0, 7))]
@@ -338,11 +344,11 @@ def test_distance_metrics_match_recursive_oracle():
             "".join(rng.choice(list(letters), size=rng.integers(0, 7)))
             for _ in range(3)
         )
-        dab = edit_distance(a, b)
+        dab = levenshtein_ids(a, b)
         assert dab >= 0
         assert (dab == 0) == (a == b)
-        assert dab == edit_distance(b, a)
-        assert dab <= edit_distance(a, c) + edit_distance(c, b)
+        assert dab == levenshtein_ids(b, a)
+        assert dab <= levenshtein_ids(a, c) + levenshtein_ids(c, b)
     _mark("edit distance and WER agree with recursive alignment; metric "
           "axioms hold on 1000 random triples")
 

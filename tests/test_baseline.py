@@ -7,10 +7,10 @@ from spellcap.baseline import (
     AsrToken,
     Prediction,
     baseline_predict,
-    edit_distance,
     edit_distance_confidence,
     extract_spelled_letters,
 )
+from spellcap.kernels import levenshtein_ids
 
 from oracles import hypothesis_from_text, lev_recursive
 
@@ -100,10 +100,10 @@ def test_token_confidence_range_enforced():
 
 
 def test_edit_distance_golden():
-    assert edit_distance("jenniser", "jennifer") == 1
-    assert edit_distance("sedoz", "sdov") == 2
-    assert edit_distance("", "abc") == 3
-    assert edit_distance("abc", "abc") == 0
+    assert levenshtein_ids("jenniser", "jennifer") == 1
+    assert levenshtein_ids("sedoz", "sdov") == 2
+    assert levenshtein_ids("", "abc") == 3
+    assert levenshtein_ids("abc", "abc") == 0
 
 
 @given(
@@ -111,7 +111,7 @@ def test_edit_distance_golden():
 )
 @settings(max_examples=200, deadline=None)
 def test_edit_distance_matches_recursive_oracle(a, b):
-    assert edit_distance(a, b) == lev_recursive(a, b)
+    assert levenshtein_ids(a, b) == lev_recursive(a, b)
 
 
 def test_edit_distance_confidence_golden():

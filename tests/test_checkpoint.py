@@ -10,22 +10,22 @@ from hypothesis import strategies as st
 from spellcap import tokenizer as tk
 from spellcap.errors import ConfigError, DataFormatError
 from spellcap.seq2seq import (
-    EpochStats,
     ModelConfig,
-    TrainState,
-    greedy_decode,
     init_parameters,
     load_checkpoint,
     load_train_state,
     save_checkpoint,
     save_train_state,
 )
+from spellcap.seq2seq.decode import greedy_decode
+from spellcap.seq2seq.train import EpochStats, TrainState
 
 
 CFG = ModelConfig(
     vocab_size=40, n_layers=1, n_heads=2, d_model=8, d_ff=16,
     dropout=0.0, max_src_len=32, max_tgt_len=8,
 )
+BPE = tk.learn_bpe(["vera v e r a"], 3)
 
 
 @pytest.fixture()
@@ -35,7 +35,7 @@ def params():
 
 def test_roundtrip_float32_default(tmp_path, params):
     path = str(tmp_path / "m.ckpt")
-    save_checkpoint(path, params, CFG)
+    save_checkpoint(path, params, CFG, BPE)
     ck = load_checkpoint(path)
     assert ck.dtype == "float32"
     assert ck.config == CFG
@@ -47,9 +47,9 @@ def test_roundtrip_float32_default(tmp_path, params):
 def test_quantization_idempotent_bytes(tmp_path, params):
     p1 = str(tmp_path / "a.ckpt")
     p2 = str(tmp_path / "b.ckpt")
-    save_checkpoint(p1, params, CFG)
+    save_checkpoint(p1, params, CFG, BPE)
     ck = load_checkpoint(p1)
-    save_checkpoint(p2, ck.params, CFG)
+    save_checkpoint(p2, ck.params, CFG, BPE)
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
@@ -57,9 +57,9 @@ def test_predictions_identical_after_two_load_cycles(tmp_path, params):
     src = [5, 9, 12]
     p1 = str(tmp_path / "a.ckpt")
     p2 = str(tmp_path / "b.ckpt")
-    save_checkpoint(p1, params, CFG)
+    save_checkpoint(p1, params, CFG, BPE)
     ck1 = load_checkpoint(p1)
-    save_checkpoint(p2, ck1.params, CFG)
+    save_checkpoint(p2, ck1.params, CFG, BPE)
     ck2 = load_checkpoint(p2)
     g1 = greedy_decode(ck1.params, CFG, src)
     g2 = greedy_decode(ck2.params, CFG, src)
@@ -71,25 +71,24 @@ def test_predictions_identical_after_two_load_cycles(tmp_path, params):
 
 def test_float64_roundtrip_exact(tmp_path, params):
     path = str(tmp_path / "m64.ckpt")
-    save_checkpoint(path, params, CFG, dtype="float64")
+    save_checkpoint(path, params, CFG, BPE, dtype="float64")
     ck = load_checkpoint(path)
     for k, v in params.items():
         np.testing.assert_array_equal(ck.params[k], v)
 
 
 def test_bpe_model_travels_in_manifest(tmp_path, params):
-    bpe = tk.learn_bpe(["vera v e r a"], 3)
     path = str(tmp_path / "m.ckpt")
-    save_checkpoint(path, params, CFG, bpe=bpe)
+    save_checkpoint(path, params, CFG, BPE)
     ck = load_checkpoint(path)
     assert ck.bpe is not None
-    assert ck.bpe.vocab == bpe.vocab
-    assert ck.bpe.merges == bpe.merges
+    assert ck.bpe.vocab == BPE.vocab
+    assert ck.bpe.merges == BPE.merges
 
 
 def test_shape_mismatch_rejected(tmp_path, params):
     path = str(tmp_path / "m.ckpt")
-    save_checkpoint(path, params, CFG)
+    save_checkpoint(path, params, CFG, BPE)
     blob = (tmp_path / "m.ckpt").read_bytes()
     nl = blob.find(b"\n")
     manifest = json.loads(blob[:nl])
@@ -107,7 +106,7 @@ def test_shape_mismatch_rejected(tmp_path, params):
 
 def test_truncated_file_rejected(tmp_path, params):
     path = str(tmp_path / "m.ckpt")
-    save_checkpoint(path, params, CFG)
+    save_checkpoint(path, params, CFG, BPE)
     blob = (tmp_path / "m.ckpt").read_bytes()
     (tmp_path / "cut.ckpt").write_bytes(blob[:-40])
     with pytest.raises(DataFormatError, match="truncated"):
@@ -142,6 +141,10 @@ def _string_shape(m):
 
 def _bpe_without_merges(m):
     m["bpe"] = {"vocab": {tok: i for i, tok in enumerate(tk.BASE_TOKENS)}}
+
+
+def _drop_bpe(m):
+    del m["bpe"]
 
 
 def _bpe_not_object(m):
@@ -181,6 +184,7 @@ def _rewrite_manifest(path, corrupt):
     (_unknown_config_key, "attention"),
     (_string_shape, "manifest tensors"),
     (_bpe_without_merges, "bpe merges"),
+    (_drop_bpe, "manifest bpe"),
     (_bpe_not_object, "bpe block"),
     (_bpe_id_beyond_vocab, "'zz' has id 9999"),
     (_set_config("n_layers", 1.5), r"config\.n_layers must be int, got 1\.5"),
@@ -190,12 +194,12 @@ def _rewrite_manifest(path, corrupt):
     (_negative_shape, "negative shape"),
     (_overflowing_shape, "nbytes/shape mismatch"),
 ], ids=["no_tensors", "no_config", "unknown_config_key", "string_shape",
-        "bpe_without_merges", "bpe_not_object", "bpe_id_beyond_vocab",
+        "bpe_without_merges", "no_bpe", "bpe_not_object", "bpe_id_beyond_vocab",
         "fractional_n_layers", "float_d_model", "bool_n_heads", "float_vocab_size",
         "negative_shape", "overflowing_shape"])
 def test_malformed_manifest_rejected(tmp_path, params, corrupt, match):
     path = tmp_path / "m.ckpt"
-    save_checkpoint(str(path), params, CFG, bpe=tk.learn_bpe(["vera v e r a"], 3))
+    save_checkpoint(str(path), params, CFG, BPE)
     _rewrite_manifest(path, corrupt)
     with pytest.raises(DataFormatError, match=match):
         load_checkpoint(str(path))
@@ -227,7 +231,7 @@ def test_malformed_resume_state_rejected(tmp_path, params, corrupt, match):
     state = TrainState.fresh(params)
     state.history.append(EpochStats(0, 1.5, 2.5))
     path = tmp_path / "m.ckpt.resume"
-    save_train_state(str(path), params, CFG, state)
+    save_train_state(str(path), params, CFG, state, BPE)
     load_train_state(str(path))  # intact before the edit
     _rewrite_manifest(path, corrupt)
     with pytest.raises(DataFormatError, match=match):
@@ -238,7 +242,7 @@ def test_missing_parameter_rejected(tmp_path, params):
     incomplete = dict(params)
     incomplete.pop("output.bias")
     with pytest.raises(ValueError, match="missing parameter"):
-        save_checkpoint(str(tmp_path / "m.ckpt"), incomplete, CFG)
+        save_checkpoint(str(tmp_path / "m.ckpt"), incomplete, CFG, BPE)
 
 
 _DELETE = object()
@@ -250,12 +254,11 @@ def saved_files(tmp_path_factory):
     (path, manifest, tensor bytes, loader)."""
     root = tmp_path_factory.mktemp("fuzz")
     params = init_parameters(CFG, seed=3)
-    bpe = tk.learn_bpe(["vera v e r a"], 3)
     state = TrainState.fresh(params)
     state.history.append(EpochStats(0, 1.5, 2.5))
     state.best_params = params
-    save_checkpoint(str(root / "m.ckpt"), params, CFG, bpe=bpe)
-    save_train_state(str(root / "m.ckpt.resume"), params, CFG, state, bpe=bpe)
+    save_checkpoint(str(root / "m.ckpt"), params, CFG, BPE)
+    save_train_state(str(root / "m.ckpt.resume"), params, CFG, state, BPE)
     out = {}
     for name, load in (("m.ckpt", load_checkpoint), ("m.ckpt.resume", load_train_state)):
         head, _, rest = (root / name).read_bytes().partition(b"\n")

@@ -104,6 +104,7 @@ def test_generate_malformed_noise_line_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("line, key", [
     ("nbest_size=two", "nbest_size"),
     ("pattern_weights=1,x,1,1,1", "pattern_weights"),
+    ("pattern_weights=nan,1,1,1,1", "pattern_weights"),
 ])
 def test_generate_ill_typed_noise_value_names_key(tmp_path, capsys, line, key):
     noise = tmp_path / "n.txt"
@@ -268,6 +269,14 @@ def test_train_unknown_config_key_is_config_error(pipeline, tmp_path, capsys):
     assert code == 2 and "momentum" in err
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_train_non_finite_learning_rate_is_config_error(pipeline, tmp_path, capsys, rate):
+    code, _, err = run(capsys, "train", "--train", str(pipeline["train"]),
+                       "--out", str(tmp_path / "x.ckpt"), "--learning-rate", rate)
+    assert code == 2 and "learning_rate" in err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 def test_model_config_rejects_vocab_size(pipeline, tmp_path, capsys):
     bad = tmp_path / "model.txt"
     bad.write_text("d_model=16\nvocab_size=40\n")
@@ -354,6 +363,12 @@ def test_predict_malformed_bpe_block_exits_3(pipeline, tmp_path, capsys):
     code, err = predict_with_manifest(pipeline, tmp_path, capsys,
                                       lambda m: m["bpe"].pop("merges"))
     assert code == 3 and "bpe merges" in err
+
+
+def test_predict_checkpoint_without_bpe_exits_3(pipeline, tmp_path, capsys):
+    code, err = predict_with_manifest(pipeline, tmp_path, capsys,
+                                      lambda m: m.pop("bpe"))
+    assert code == 3 and "manifest bpe" in err
 
 
 def test_predict_fractional_layer_count_exits_3(pipeline, tmp_path, capsys):
@@ -473,6 +488,14 @@ def test_baseline_malformed_dataset_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "baseline", "--input", str(data),
                        "--out", str(tmp_path / "x.tsv"))
     assert code == 3 and "line 1" in err
+
+
+def test_baseline_four_hypothesis_group_exits_3(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    data.write_text("1|v/0.9|vera\n" + "".join(f"{r}|j/0.9|jo\n" for r in range(1, 5)))
+    code, _, err = run(capsys, "baseline", "--input", str(data),
+                       "--out", str(tmp_path / "x.tsv"))
+    assert code == 3 and "line 2:" in err and "1..3" in err
 
 
 # ----------------------------------------------------------- eval

@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spellcap.baseline import baseline_predict
+from spellcap.baseline import Prediction, baseline_predict
 from spellcap.datagen import (
     NATO_SPELL,
     NAME_NATO_MIX,
@@ -23,6 +27,7 @@ from spellcap.datagen import (
     train_dev_split,
 )
 from spellcap.errors import ConfigError, DataFormatError
+from spellcap.evalharness import ScoredResult, load_results, save_results
 
 
 ZERO = NoiseConfig()
@@ -31,6 +36,11 @@ LEX = Lexicon(("vera", "sara", "daren", "jennifer", "tim", "weber"))
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def generate(lex, n, cfg, seed):
+    """The samples of ``generate_dataset``, without their pattern names."""
+    return [s for s, _ in generate_dataset(lex, n, cfg, seed=seed)]
 
 
 # ---------------------------------------------------------------- lexicon
@@ -55,6 +65,10 @@ def test_load_lexicon_bad_weight_names_line(tmp_path):
     p.write_text("daren\tnotanumber\n")
     with pytest.raises(DataFormatError, match="line 1"):
         load_lexicon(str(p))
+    for weight in ("nan", "inf", "-inf", "0"):
+        p.write_text(f"vera\t2\ndaren\t{weight}\n")
+        with pytest.raises(DataFormatError, match="line 2"):
+            load_lexicon(str(p))
 
 
 def test_load_lexicon_weights(tmp_path):
@@ -219,29 +233,29 @@ def test_generate_deterministic_bytes(tmp_path):
     cfg = NoiseConfig(letter_sub_prob=0.2, filler_prob=0.3, nato_prob=0.5,
                       fullname_prob=0.2, jitter=0.1, nbest_size=2)
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    save_dataset(generate_dataset(LEX, 40, cfg, seed=9), str(a))
-    save_dataset(generate_dataset(LEX, 40, cfg, seed=9), str(b))
+    save_dataset(generate(LEX, 40, cfg, seed=9), str(a))
+    save_dataset(generate(LEX, 40, cfg, seed=9), str(b))
     assert a.read_bytes() == b.read_bytes()
-    save_dataset(generate_dataset(LEX, 40, cfg, seed=10), str(b))
+    save_dataset(generate(LEX, 40, cfg, seed=10), str(b))
     assert a.read_bytes() != b.read_bytes()
 
 
 def test_zero_noise_baseline_recovers_gold():
     cfg = NoiseConfig(pattern_weights=(1.0, 1.0, 0.0, 0.0, 0.0))
-    for s in generate_dataset(LEX, 100, cfg, seed=4):
+    for s in generate(LEX, 100, cfg, seed=4):
         assert baseline_predict(s.nbest).name == s.gold
 
 
 def test_nato_only_defeats_letter_extraction_sometimes():
     cfg = NoiseConfig(nato_prob=1.0, pattern_weights=(0.0, 0.0, 0.0, 1.0, 0.0))
-    samples = generate_dataset(LEX, 200, cfg, seed=4)
+    samples = generate(LEX, 200, cfg, seed=4)
     hits = sum(baseline_predict(s.nbest).name == s.gold for s in samples)
     assert 0 < hits < len(samples)
 
 
 def test_every_pattern_occurs():
     cfg = NoiseConfig(nato_prob=1.0, nato_variant_prob=0.0)
-    samples = generate_dataset(LEX, 10 * len(PATTERNS), cfg, seed=0)
+    samples = generate(LEX, 10 * len(PATTERNS), cfg, seed=0)
     seen = set()
     for s in samples:
         texts = [t.word for t in s.nbest[0].tokens]
@@ -262,7 +276,7 @@ def test_every_pattern_occurs():
 def test_label_error_detaches_gold_from_utterance():
     cfg = NoiseConfig(label_error_prob=1.0,
                       pattern_weights=(1.0, 0.0, 0.0, 0.0, 0.0))
-    samples = generate_dataset(LEX, 30, cfg, seed=2)
+    samples = generate(LEX, 30, cfg, seed=2)
     hits = sum(baseline_predict(s.nbest).name == s.gold for s in samples)
     assert hits == 0
     assert all(s.gold in LEX.names for s in samples)
@@ -270,7 +284,7 @@ def test_label_error_detaches_gold_from_utterance():
 
 def test_lexicon_weights_bias_sampling():
     lex = Lexicon(("vera", "sara"), weights=(99.0, 1.0))
-    samples = generate_dataset(lex, 200, NoiseConfig(), seed=1)
+    samples = generate(lex, 200, NoiseConfig(), seed=1)
     veras = sum(s.gold == "vera" for s in samples)
     assert veras > 150
 
@@ -284,7 +298,7 @@ def test_generate_rejects_bad_n():
 
 
 def test_train_dev_split_partition():
-    samples = generate_dataset(LEX, 50, ZERO, seed=3)
+    samples = generate(LEX, 50, ZERO, seed=3)
     train, dev = train_dev_split(samples, dev_fraction=0.1, seed=8)
     assert len(dev) == 5 and len(train) == 45
     key = lambda s: tuple((h.rank, tuple(t.word for t in h.tokens)) for h in s.nbest)
@@ -302,7 +316,7 @@ def test_train_dev_split_partition():
 def test_save_load_roundtrip_structure(tmp_path):
     cfg = NoiseConfig(letter_sub_prob=0.3, jitter=0.2, nbest_size=3,
                       fullname_prob=0.4, filler_prob=0.4)
-    samples = generate_dataset(LEX, 25, cfg, seed=6)
+    samples = generate(LEX, 25, cfg, seed=6)
     p = tmp_path / "d.txt"
     save_dataset(samples, str(p))
     loaded = load_dataset(str(p))
@@ -339,6 +353,7 @@ def test_line_format_example(tmp_path):
     ("1||vera\n", "no tokens"),
     ("1|a/0.5\n", "expected rank"),
     ("x|a/0.5|vera\n", "bad rank"),
+    ("1|a/0.5|vera\n2|b/0.5|vera\n3|c/0.5|vera\n4|d/0.5|vera\n", "1..3"),
 ])
 def test_load_dataset_rejects_malformed(tmp_path, text, match):
     p = tmp_path / "d.txt"
@@ -361,6 +376,68 @@ def test_load_dataset_reports_line_numbers(tmp_path):
         load_dataset(str(p))
 
 
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """A 3-best dataset file and a results file, each as (path to fuzz,
+    original lines, loader)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = NoiseConfig(letter_sub_prob=0.3, nato_prob=0.5, jitter=0.1, nbest_size=3)
+    save_dataset(generate(LEX, 3, cfg, seed=5), str(root / "d.txt"))
+    save_results([ScoredResult(Prediction("vera", -0.25, "seq2seq"), "vera"),
+                  ScoredResult(Prediction("sara", 0.75, "baseline"), "sera")],
+                 str(root / "r.tsv"))
+    out = {}
+    for name, load in (("d.txt", load_dataset), ("r.tsv", load_results)):
+        out[name] = (root / ("fuzzed." + name), (root / name).read_text().splitlines(), load)
+    return out
+
+
+_FIELD_SEP = re.compile(r"([|\t /])")
+_EDITS = st.one_of(
+    st.tuples(st.sampled_from(["delete", "duplicate"]), st.integers(0, 99)),
+    st.tuples(st.just("renumber"), st.integers(0, 99), st.integers(-1, 5)),
+    st.tuples(st.sampled_from(["replace", "extend"]), st.integers(0, 99), st.integers(0, 99),
+              st.sampled_from(["nan", "inf", "-1", "1.5", "", "|", "\t", "A"])),
+)
+
+
+def _edit_lines(lines, edits):
+    """Delete or duplicate a line, set its first field to a number, or replace
+    or extend one of its fields (split on |, tab, space and /) with an atom."""
+    lines = list(lines)
+    for kind, i, *args in edits:
+        if not lines:
+            break
+        i %= len(lines)
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            parts = _FIELD_SEP.split(lines[i])  # fields at the even positions
+            if kind == "renumber":
+                parts[0] = str(args[0])
+            else:
+                j = 2 * (args[0] % (len(parts) // 2 + 1))
+                parts[j] = args[1] if kind == "replace" else parts[j] + args[1]
+            lines[i] = "".join(parts)
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["d.txt", "r.tsv"]), edits=st.lists(_EDITS, min_size=1, max_size=3))
+@example(name="d.txt", edits=[("duplicate", 2), ("renumber", 3, 4)])  # a 4-best group
+def test_mutated_dataset_and_results_end_in_typed_error(saved_files, name, edits):
+    """Loading an edited dataset or results file returns or raises only
+    DataFormatError or ConfigError, never a raw exception."""
+    path, lines, load = saved_files[name]
+    path.write_text("".join(line + "\n" for line in _edit_lines(lines, edits)))
+    try:
+        load(str(path))
+    except (DataFormatError, ConfigError):
+        pass
+
+
 # ---------------------------------------------------------------- config
 
 
@@ -371,8 +448,9 @@ def test_noise_config_validation():
         NoiseConfig(conf_clean=0.0)
     with pytest.raises(ConfigError, match="nbest_size"):
         NoiseConfig(nbest_size=4)
-    with pytest.raises(ConfigError, match="pattern_weights"):
-        NoiseConfig(pattern_weights=(1.0, 1.0))
+    for weights in ((1.0, 1.0), (float("nan"), 1, 1, 1, 1), (float("inf"), 1, 1, 1, 1)):
+        with pytest.raises(ConfigError, match="pattern_weights"):
+            NoiseConfig(pattern_weights=weights)
     with pytest.raises(ConfigError, match="confusion set"):
         NoiseConfig(confusion_sets=(("q",),))
     with pytest.raises(ConfigError, match="jitter"):

@@ -1,15 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from spellcap import tokenizer as tk
-from spellcap.seq2seq import (
+from spellcap.seq2seq.decode import beam_decode, greedy_decode, predict_name
+from spellcap.seq2seq.model import (
     ModelConfig,
-    beam_decode,
-    greedy_decode,
+    _log_softmax,
+    forward_details,
+    id_of_class,
     init_parameters,
-    predict_name,
 )
-from spellcap.seq2seq.model import _log_softmax, forward_details, id_of_class
 from spellcap.tokenizer import BOS_ID, EOS_ID, char_decode
 
 from oracles import beam_search, greedy_search
@@ -71,7 +73,7 @@ def test_wide_beam_matches_exhaustive_search(seed):
     params = init_parameters(CFG, seed=seed)
     for src in random_sources(seed + 20, 4):
         want_score, want_name = exhaustive_best(params, CFG, src, max_len=2)
-        top = beam_decode(params, CFG, src, 900, max_len=2)[0]
+        top = beam_decode(params, replace(CFG, max_tgt_len=2), src, 900)[0]
         assert abs(top.logprob - want_score) < 1e-9
         assert top.name == want_name
 
@@ -95,14 +97,15 @@ def test_search_matches_full_recompute_reference(seed, eos_bias, max_len):
     # pool and the early stop run too
     params = init_parameters(CFG, seed=seed)
     params["output.bias"][0] += eos_bias
-    limit = CFG.max_tgt_len if max_len is None else max_len
+    cfg = CFG if max_len is None else replace(CFG, max_tgt_len=max_len)
+    limit = cfg.max_tgt_len
     for src in random_sources(seed + 30, 4):
         ref = full_recompute_scorer(params, CFG, src)
         want = [greedy_search(ref, limit)]
-        got = [greedy_decode(params, CFG, src, max_len)]
+        got = [greedy_decode(params, cfg, src)]
         for width in range(1, 6):
             want += beam_search(ref, width, limit)
-            got += beam_decode(params, CFG, src, width, max_len)
+            got += beam_decode(params, cfg, src, width)
         assert len(got) == len(want)
         for g, (classes, logprob, reached_eos) in zip(got, want):
             assert g.name == char_decode([BOS_ID] + [id_of_class(c) for c in classes])
@@ -133,9 +136,10 @@ def test_logprobs_nonpositive_and_sane():
 def test_truncation_at_max_len():
     params = init_parameters(CFG, seed=11)
     src = random_sources(13, 1)[0]
-    g = greedy_decode(params, CFG, src, max_len=2)
+    short = replace(CFG, max_tgt_len=2)
+    g = greedy_decode(params, short, src)
     assert len(g.name) <= 2
-    results = beam_decode(params, CFG, src, 3, max_len=2)
+    results = beam_decode(params, short, src, 3)
     assert all(len(r.name) <= 2 for r in results)
     # a truncated result is flagged
     if not g.reached_eos:

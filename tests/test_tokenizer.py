@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from spellcap import tokenizer as tk
 from spellcap.seq2seq.checkpoint import _typed
 
-from oracles import pair_counts
+from oracles import bpe_decode, pair_counts
 
 
 @pytest.fixture(scope="module")
@@ -63,25 +63,25 @@ def test_encode_applies_merge():
     aa = model.vocab["aa"]
     assert aa == 33
     assert tk.bpe_encode(model, "aab") == [aa, 5]
-    assert tk.bpe_decode(model, [aa, 5]) == "aab"
+    assert bpe_decode(model, [aa, 5]) == "aab"
 
 
 def test_word_boundary_kept_between_words(small_model):
     ids = tk.bpe_encode(small_model, "a b")
     assert tk.EOW_ID in ids
     assert ids[-1] != tk.EOW_ID
-    assert tk.bpe_decode(small_model, ids) == "a b"
+    assert bpe_decode(small_model, ids) == "a b"
 
 
 def test_merges_never_cross_words(small_model):
     # "nn" merges inside jennifer, so adjacent single-letter words must not fuse
     joined = tk.bpe_encode(small_model, "n n")
-    assert tk.bpe_decode(small_model, joined) == "n n"
+    assert bpe_decode(small_model, joined) == "n n"
 
 
 def test_empty_text(small_model):
     assert tk.bpe_encode(small_model, "") == []
-    assert tk.bpe_decode(small_model, []) == ""
+    assert bpe_decode(small_model, []) == ""
 
 
 def test_empty_corpus_rejected():
@@ -99,7 +99,7 @@ def test_unknown_characters_become_unk(small_model):
 def test_decode_rejects_unknown_id(small_model):
     bad = max(small_model.vocab.values()) + 1
     with pytest.raises(ValueError, match="invalid token id"):
-        tk.bpe_decode(small_model, [bad])
+        bpe_decode(small_model, [bad])
 
 
 def test_compression_monotone_in_merge_count():
@@ -134,7 +134,7 @@ def test_roundtrip_property(ws):
     model = tk.learn_bpe(
         ["jennifer j e n n i f e r", "daren d a r e n", "a'b-c a'b-c"], 12
     )
-    assert tk.bpe_decode(model, tk.bpe_encode(model, text)) == text
+    assert bpe_decode(model, tk.bpe_encode(model, text)) == text
 
 
 def test_char_encode_frozen_ids():

@@ -7,21 +7,21 @@ from spellcap.errors import ConfigError, NumericError
 from spellcap.seq2seq import (
     ModelConfig,
     TrainConfig,
-    TrainState,
-    adam_step,
-    evaluate,
-    greedy_decode,
     init_parameters,
     load_train_state,
     save_train_state,
     train,
 )
+from spellcap.seq2seq.decode import greedy_decode
+from spellcap.seq2seq.train import TrainState, adam_step, evaluate
+from spellcap.tokenizer import learn_bpe
 
 
 CFG = ModelConfig(
     vocab_size=40, n_layers=2, n_heads=2, d_model=8, d_ff=16,
     dropout=0.1, max_src_len=32, max_tgt_len=16,
 )
+BPE = learn_bpe(["vera v e r a"], 3)
 
 
 def pairs(seed, n):
@@ -41,6 +41,10 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(patience=0)
+    for key, value in (("learning_rate", math.nan), ("learning_rate", math.inf),
+                       ("eps", -1.0), ("eps", 0.0), ("eps", math.nan)):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**{key: value})
 
 
 def test_adam_step_moves_every_tensor():
@@ -131,7 +135,7 @@ def test_resume_equals_straight_run(tmp_path):
     pb = init_parameters(CFG, seed=7)
     res_b1 = train(pb, CFG, tr, dev, one)
     path = str(tmp_path / "state.ckpt")
-    save_train_state(path, pb, CFG, res_b1.state)
+    save_train_state(path, pb, CFG, res_b1.state, BPE)
     p2, cfg2, state2, _ = load_train_state(path)
     res_b2 = train(p2, cfg2, tr, dev, two, state=state2)
 
@@ -144,6 +148,26 @@ def test_resume_equals_straight_run(tmp_path):
         assert ea == eb
         assert abs(ta - tb) <= 1e-9
         assert abs(da - db) <= 1e-9
+
+
+def test_resume_after_early_stop_trains_no_further_epoch(tmp_path):
+    tr = pairs(seed=6, n=24)
+    dev = pairs(seed=7, n=8)
+    cfg = TrainConfig(batch_size=8, learning_rate=2e-2, epochs=12, seed=0, patience=1)
+    pa = init_parameters(CFG, seed=2)
+    res_a = train(pa, CFG, tr, dev, cfg)
+    assert res_a.stopped_early and len(res_a.history) < cfg.epochs
+
+    path = str(tmp_path / "state.ckpt")
+    save_train_state(path, pa, CFG, res_a.state, BPE)
+    p2, cfg2, state2, _ = load_train_state(path)
+    res_b = train(p2, cfg2, tr, dev, cfg, state=state2)
+
+    assert res_b.stopped_early
+    assert res_b.history == res_a.history
+    for k in pa:
+        assert np.array_equal(pa[k], p2[k]), k
+        assert np.array_equal(res_a.params[k], res_b.params[k]), k
 
 
 def test_same_seed_same_run():
