@@ -258,7 +258,13 @@ def cmd_eval(args) -> int:
         print(f"{path} error_rate {exact_match_error(results):.4f} "
               f"({len(results)} results)")
     if args.er_curve or args.plot:
-        curves = [er_curve(r, n_points=args.n_points) for r in loaded]
+        flag = "--er-curve" if args.er_curve else "--plot"
+        curves = []
+        for path, results in zip(args.results, loaded):
+            try:
+                curves.append(er_curve(results, n_points=args.n_points))
+            except ValueError as e:
+                raise ConfigError(f"{path}: {e} for {flag}") from None
         if args.er_curve:
             for curve, out in zip(curves, _curve_paths(args.er_curve, labels)):
                 emit_csv(curve, out)
@@ -357,7 +363,3 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

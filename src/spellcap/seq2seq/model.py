@@ -133,6 +133,13 @@ def _dropout_b(dy, mask):
     return dy if mask is None else dy * mask
 
 
+def _weight_grad(x, dy):
+    """Gradient of a weight applied as ``x @ w``: the sum over every leading
+    (batch, position) axis of the outer products x[..., i] dy[..., j], as one
+    2-D gemm."""
+    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+
+
 _LN_EPS = 1e-5
 
 
@@ -204,7 +211,7 @@ def _attention_b(dy, cache, p, prefix, grads):
     wq, wk, wv, wo = (p[f"{prefix}.{w}"] for w in ("wq", "wk", "wv", "wo"))
     n_heads = q.shape[1]
 
-    grads[f"{prefix}.wo"] += np.einsum("btd,bte->de", ctx, dy)
+    grads[f"{prefix}.wo"] += _weight_grad(ctx, dy)
     dctx = _split_heads(dy @ wo.T, n_heads)
     dw = dctx @ v.swapaxes(-1, -2)
     dv = weights.swapaxes(-1, -2) @ dctx
@@ -215,9 +222,9 @@ def _attention_b(dy, cache, p, prefix, grads):
     dk = ds.swapaxes(-1, -2) @ q
 
     dq_m, dk_m, dv_m = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
-    grads[f"{prefix}.wq"] += np.einsum("btd,bte->de", xq, dq_m)
-    grads[f"{prefix}.wk"] += np.einsum("btd,bte->de", xkv, dk_m)
-    grads[f"{prefix}.wv"] += np.einsum("btd,bte->de", xkv, dv_m)
+    grads[f"{prefix}.wq"] += _weight_grad(xq, dq_m)
+    grads[f"{prefix}.wk"] += _weight_grad(xkv, dk_m)
+    grads[f"{prefix}.wv"] += _weight_grad(xkv, dv_m)
     dxq = dq_m @ wq.T
     dxkv = dk_m @ wk.T + dv_m @ wv.T
     return dxq, dxkv
@@ -232,11 +239,11 @@ def _ffn_f(x, p, prefix):
 
 def _ffn_b(dy, cache, p, prefix, grads):
     x, z, h = cache
-    grads[f"{prefix}.w2"] += np.einsum("btf,btd->fd", h, dy)
+    grads[f"{prefix}.w2"] += _weight_grad(h, dy)
     grads[f"{prefix}.b2"] += dy.sum((0, 1))
     dh = dy @ p[f"{prefix}.w2"].T
     dz = dh * (z > 0.0)
-    grads[f"{prefix}.w1"] += np.einsum("btd,btf->df", x, dz)
+    grads[f"{prefix}.w1"] += _weight_grad(x, dz)
     grads[f"{prefix}.b1"] += dz.sum((0, 1))
     return dz @ p[f"{prefix}.w1"].T
 
@@ -334,7 +341,7 @@ def _decode_f(p, cfg, memory, src_valid, tgt_in, rng):
 def _decode_b(dlogits, dec_caches, p, grads):
     """Returns the gradient of the encoder memory."""
     c_emb, caches, c_norm, yn = dec_caches
-    grads["output.weight"] += np.einsum("btd,btc->dc", yn, dlogits)
+    grads["output.weight"] += _weight_grad(yn, dlogits)
     grads["output.bias"] += dlogits.sum((0, 1))
     dy, dmem = _stack_b(dlogits @ p["output.weight"].T, caches, c_norm, p, grads)
     _embed_b(dy, c_emb, grads)
@@ -403,8 +410,8 @@ def _forward(p, cfg, src_arr, src_valid, tgt_in, rng=None):
     return logits, (enc_caches, dec_caches)
 
 
-def loss_from_logits(logits, labels):
-    logp = _log_softmax(logits)
+def _nll(logp, labels):
+    """Mean negative log-probability of the labels over supervised positions."""
     valid = labels >= 0
     n = int(valid.sum())
     if n == 0:
@@ -413,18 +420,22 @@ def loss_from_logits(logits, labels):
     return -picked.sum() / n
 
 
+def loss_from_logits(logits, labels):
+    return _nll(_log_softmax(logits), labels)
+
+
 def loss_and_gradients(p, cfg: ModelConfig, batch, dropout_rng=None):
     """One forward-backward pass; returns (loss, grads keyed like params)."""
     src_arr, src_valid, tgt_in, labels = pack_batch(batch)
     logits, (enc_caches, dec_caches) = _forward(
         p, cfg, src_arr, src_valid, tgt_in, dropout_rng
     )
-    value = float(loss_from_logits(logits, labels))
+    logp = _log_softmax(logits)
+    value = float(_nll(logp, labels))
 
     valid = labels >= 0
     n = int(valid.sum())
-    probs = np.exp(_log_softmax(logits))
-    dlogits = probs
+    dlogits = np.exp(logp)
     b_idx, t_idx = np.nonzero(valid)
     dlogits[b_idx, t_idx, labels[valid]] -= 1.0
     dlogits[~valid] = 0.0

@@ -12,7 +12,8 @@ Encoding appends the marker token after each word and then drops a single
 standalone trailing marker, so ``bpe_encode(m, "ab")`` is ``[id(a), id(b)]``.
 """
 
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .errors import DataFormatError
@@ -103,21 +104,49 @@ def learn_bpe(corpus: list[str], n_merges: int) -> BpeModel:
     seqs = {w: _word_symbols(w) for w in word_freq}
     merges: list[tuple[str, str]] = []
 
-    for _ in range(n_merges):
-        counts = Counter()
-        for w, f in word_freq.items():
-            s = seqs[w]
-            for pair in zip(s, s[1:]):
-                counts[pair] += f
-        if not counts:
-            break
-        best = min(counts, key=lambda p: (-counts[p], p))
-        merged = best[0] + best[1]
+    # Pair counts are built once and then updated from the words that held
+    # each merged pair (Sennrich et al., 2016). ``where`` may still list a
+    # word that lost a pair; such a word merges to itself and is skipped.
+    # The heap pops the highest count, ties to the smallest pair; an entry
+    # whose count has since changed is stale and dropped when popped.
+    counts = Counter()
+    where = defaultdict(set)
+    for w, s in seqs.items():
+        for pair in zip(s, s[1:]):
+            counts[pair] += word_freq[w]
+            where[pair].add(w)
+    heap = [(-c, pair) for pair, c in counts.items()]
+    heapq.heapify(heap)
+
+    while len(merges) < n_merges and heap:
+        neg_count, best = heapq.heappop(heap)
+        if counts.get(best) != -neg_count:
+            continue
+        left, right = best
+        merged = left + right
         merges.append(best)
         if merged not in vocab:
             vocab[merged] = len(vocab)
-        for w, s in seqs.items():
-            seqs[w] = _merge_word(s, best[0], best[1], merged)
+        touched = set()
+        for w in where.pop(best):
+            old = seqs[w]
+            new = _merge_word(old, left, right, merged)
+            if len(new) == len(old):
+                continue
+            f = word_freq[w]
+            for pair in zip(old, old[1:]):
+                counts[pair] -= f
+                touched.add(pair)
+            for pair in zip(new, new[1:]):
+                counts[pair] += f
+                touched.add(pair)
+                where[pair].add(w)
+            seqs[w] = new
+        for pair in touched:
+            if counts[pair]:
+                heapq.heappush(heap, (-counts[pair], pair))
+            else:
+                del counts[pair]
     return BpeModel(vocab=vocab, merges=merges)
 
 

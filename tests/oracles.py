@@ -1,14 +1,16 @@
 """Slow reference implementations the tests compare against.
 
 Everything here is written the dumbest defensible way (plain recursion, full
-recomputation per point) so it shares no code path with the package. The one
-builder at the end, ``hypothesis_from_text``, only wraps package types.
+recomputation per point) so it shares no code path with the package. The
+builders ``learn_bpe_recount`` and ``hypothesis_from_text`` only wrap their
+results in package types.
 """
 
+from collections import Counter
 from functools import lru_cache
 
 from spellcap.baseline import AsrHypothesis, AsrToken
-from spellcap.tokenizer import EOW_TOKEN
+from spellcap.tokenizer import BASE_TOKENS, CHAR_IDS, EOW_TOKEN, UNK_TOKEN, BpeModel
 
 
 def pair_counts(corpus):
@@ -127,6 +129,43 @@ def beam_search(next_logprobs, beam_width, max_len):
     completed += [(classes, score, False) for classes, score in live]
     completed.sort(key=lambda c: -c[1])
     return completed[:beam_width]
+
+
+def learn_bpe_recount(corpus, n_merges):
+    """``learn_bpe`` that recounts every pair of every word before each merge
+    and picks the pair with the highest count, ties to the smallest pair."""
+    word_freq = Counter()
+    for line in corpus:
+        word_freq.update(line.split())
+    if not word_freq:
+        raise ValueError("empty corpus")
+    vocab = {tok: i for i, tok in enumerate(BASE_TOKENS)}
+    seqs = {w: [c if c in CHAR_IDS else UNK_TOKEN for c in w] for w in word_freq}
+    merges = []
+    for _ in range(n_merges):
+        counts = Counter()
+        for w, f in word_freq.items():
+            s = seqs[w]
+            for pair in zip(s, s[1:]):
+                counts[pair] += f
+        if not counts:
+            break
+        best = min(counts, key=lambda p: (-counts[p], p))
+        merged = best[0] + best[1]
+        merges.append(best)
+        if merged not in vocab:
+            vocab[merged] = len(vocab)
+        for w, s in seqs.items():
+            out, i = [], 0
+            while i < len(s):  # leftmost occurrences first, never overlapping
+                if s[i:i + 2] == list(best):
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(s[i])
+                    i += 1
+            seqs[w] = out
+    return BpeModel(vocab=vocab, merges=merges)
 
 
 def bpe_decode(model, ids):

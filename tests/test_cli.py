@@ -574,6 +574,18 @@ def test_eval_empty_results_exits_2(tmp_path, capsys):
     assert code == 2 and "no results" in err
 
 
+@pytest.mark.parametrize("flag", ["--er-curve", "--plot"])
+def test_eval_curve_of_one_result_exits_2_naming_file_and_flag(tmp_path, capsys, flag):
+    good, one = tmp_path / "good.tsv", tmp_path / "one.tsv"
+    _write_results(good, [("a", "a", 0.9), ("b", "x", 0.1)])
+    _write_results(one, [("vera", "vera", 0.9)])
+    out = tmp_path / "curve.out"
+    code, _, err = run(capsys, "eval", str(good), str(one), flag, str(out))
+    assert code == 2
+    assert str(one) in err and flag in err
+    assert sorted(tmp_path.iterdir()) == sorted([good, one])  # no curve written
+
+
 def test_eval_malformed_results_exits_3(tmp_path, capsys):
     res = tmp_path / "bad.tsv"
     res.write_text("only\ttwo\n")

@@ -184,6 +184,32 @@ def test_gradients_match_finite_differences(params):
     assert checked >= 20
 
 
+@pytest.mark.parametrize("layout", ["contiguous", "merged_heads", "transposed"])
+def test_weight_grad_equals_einsum(layout):
+    rng = np.random.default_rng(5)
+    if layout == "merged_heads":
+        x = M._merge_heads(rng.standard_normal((6, 2, 9, 4)))
+        dy = M._merge_heads(rng.standard_normal((6, 3, 9, 5)))
+    elif layout == "transposed":
+        x = rng.standard_normal((9, 6, 8)).swapaxes(0, 1)
+        dy = rng.standard_normal((15, 9, 6)).transpose(2, 1, 0)
+        assert not x.flags.c_contiguous and not dy.flags.c_contiguous
+    else:
+        x, dy = rng.standard_normal((6, 9, 8)), rng.standard_normal((6, 9, 15))
+    want = np.einsum("btd,bte->de", x, dy)
+    got = M._weight_grad(x, dy)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_training_loss_equals_evaluation_loss(params):
+    batch = pairs(4, 6)
+    value, _ = M.loss_and_gradients(params, TINY, batch)
+    src_arr, src_valid, tgt_in, labels = M.pack_batch(batch)
+    logits, _ = M._forward(params, TINY, src_arr, src_valid, tgt_in)
+    assert value == float(M.loss_from_logits(logits, labels))
+
+
 def test_dropout_train_eval_mismatch(params):
     cfg = M.ModelConfig(vocab_size=40, n_layers=1, n_heads=2, d_model=8, d_ff=16,
                         dropout=0.5, max_src_len=32, max_tgt_len=16)

@@ -1,13 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spellcap import tokenizer as tk
 from spellcap.seq2seq.checkpoint import _typed
 
-from oracles import bpe_decode, pair_counts
+from oracles import bpe_decode, learn_bpe_recount, pair_counts
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +122,24 @@ def test_merge_count_capped_and_exhausted():
     # a+b then no pairs remain
     assert model.merges == [("a", "b")]
     assert len(tk.learn_bpe(["abcd abcd"], 2).merges) == 2
+
+
+# A few letters make ties and self-overlapping pairs ("aa" in "aaaa") common.
+few_letter_lines = st.sampled_from(["abc-", "abcd-"]).flatmap(
+    lambda alphabet: st.lists(
+        st.lists(st.text(alphabet=alphabet, min_size=1, max_size=9), min_size=1,
+                 max_size=5).map(" ".join),
+        min_size=1, max_size=8))
+
+
+@given(few_letter_lines, st.integers(0, 80))
+@example(["aaaa aaa", "aa-aa aaaaa"], 6)
+@settings(max_examples=300, deadline=None)
+def test_learn_bpe_matches_full_recount(corpus, n_merges):
+    got = tk.learn_bpe(corpus, n_merges)
+    want = learn_bpe_recount(corpus, n_merges)
+    assert got.merges == want.merges
+    assert got.vocab == want.vocab
 
 
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz'-", min_size=1, max_size=8)

@@ -180,6 +180,19 @@ def test_same_seed_same_run():
     assert [h.train_loss for h in res1.history] == [h.train_loss for h in res2.history]
 
 
+def test_three_epoch_losses_pinned():
+    # Train and dev losses of a dropout-0.1 run, recorded before the weight
+    # gradients became one gemm each; a change of summation order may move
+    # them by rounding only.
+    res = train(init_parameters(CFG, seed=1), CFG, pairs(2, 48), pairs(3, 12),
+                TrainConfig(batch_size=8, learning_rate=1e-3, epochs=3, seed=4))
+    want = [(3.5749309533620326, 3.400398379684423),
+            (3.4833685965447176, 3.35768573964461),
+            (3.4254214888364527, 3.33838990913206)]
+    got = [(h.train_loss, h.dev_loss) for h in res.history]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
 def test_evaluate_batch_split_invariant():
     params = init_parameters(CFG, seed=4)
     data = pairs(seed=12, n=10)
