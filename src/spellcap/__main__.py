@@ -15,10 +15,16 @@ import sys
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def main() -> int:
+def limit_blas_threads() -> None:
+    """One BLAS thread unless the caller set a thread variable; call it
+    before anything imports numpy."""
     if not any(var in os.environ for var in THREAD_VARS):
         for var in THREAD_VARS:
             os.environ[var] = "1"
+
+
+def main() -> int:
+    limit_blas_threads()
     from .cli import main as cli_main
 
     return cli_main()

@@ -203,6 +203,8 @@ def cmd_predict(args) -> int:
     else:
         # raw text: the BPE vocabulary and the model are lowercase only
         items = [(no, l.lower(), "-") for no, l in numbered]
+    if not items:
+        raise DataFormatError(f"input {args.input}: no utterances to predict")
     results = []
     for line_no, text, gold in items:
         try:

@@ -5,7 +5,9 @@ fields), ``bpe`` (the ``vocab`` and ``merges`` of the tokenizer the model was
 trained with, which every checkpoint carries), ``tensors``
 (path/shape/byte-offset/nbytes entries in write order) and optional
 ``extras``, where a float64 training resume file keeps its ``train_state``
-beside ``adam.*``/``best.*`` tensors, so a resumed run continues bit-exactly.
+(the Adam step count and the epoch history) beside ``adam.*`` tensors, and
+``best.*`` ones once the history holds a finite dev loss, so a resumed run
+continues bit-exactly. A failed write leaves any earlier file as it was.
 Each block is read by ``_typed`` against its dataclass fields: a missing block
 or key, an unknown key or a value of the wrong JSON type is a DataFormatError
 (exit 3) naming its path, such as ``manifest bpe`` or ``config.n_layers``, as
@@ -16,6 +18,7 @@ are tokenizer ids outside the model vocabulary; a config value breaking a
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from functools import cache
 from types import UnionType
@@ -26,7 +29,7 @@ import numpy as np
 from ..errors import ConfigError, DataFormatError
 from ..tokenizer import BpeModel
 from .model import ModelConfig, param_shapes
-from .train import EpochStats, TrainState
+from .train import EpochStats, TrainState, best_epoch
 
 _MAGIC = "spellcap-checkpoint"
 _DTYPES = {"float32": "<f4", "float64": "<f8"}
@@ -110,16 +113,12 @@ class ResumeMeta:
     """The ``extras.train_state`` block; history rows are (epoch, train, dev loss)."""
 
     adam_t: int
-    next_epoch: int
-    best_dev: float | None
-    epochs_since_improve: int
-    has_best: bool
     history: tuple[tuple[int, float, float], ...]
 
     def __post_init__(self):
-        counts = (self.adam_t, self.next_epoch, self.epochs_since_improve)
-        if min(counts + tuple(h[0] for h in self.history)) < 0:
-            raise DataFormatError("train_state counts and epochs must be >= 0")
+        if self.adam_t < 0 or [h[0] for h in self.history] != list(range(len(self.history))):
+            raise DataFormatError("train_state needs adam_t >= 0 and history epochs "
+                                  "0, 1, 2, ...")
 
 
 def _write(path, manifest: dict, tensors: dict[str, np.ndarray], dtype_name: str):
@@ -134,11 +133,14 @@ def _write(path, manifest: dict, tensors: dict[str, np.ndarray], dtype_name: str
         offset += len(raw)
     manifest = {**manifest, "format": _MAGIC, "dtype": dtype_name, "tensors": entries}
     header = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-    with open(path, "wb") as f:
-        f.write(header.encode("utf-8"))
-        f.write(b"\n")
-        for raw in blobs:
-            f.write(raw)
+    tmp = f"{path}.tmp"  # moved over ``path`` only once complete
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines([header.encode("utf-8"), b"\n", *blobs])
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read(path):
@@ -222,14 +224,8 @@ def save_train_state(path, params, model_cfg: ModelConfig, state: TrainState,
     """Resume container: float64 params + Adam moments + best-dev snapshot."""
     groups = {"adam.m": state.adam_m, "adam.v": state.adam_v, "best": state.best_params or {}}
     extra = {f"{g}.{k}": v for g, tensors in groups.items() for k, v in tensors.items()}
-    meta = ResumeMeta(
-        adam_t=state.adam_t,
-        next_epoch=state.next_epoch,
-        best_dev=None if math.isinf(state.best_dev) else state.best_dev,
-        epochs_since_improve=state.epochs_since_improve,
-        has_best=state.best_params is not None,
-        history=tuple((h.epoch, h.train_loss, h.dev_loss) for h in state.history),
-    )
+    meta = ResumeMeta(state.adam_t, tuple((h.epoch, h.train_loss, h.dev_loss)
+                                          for h in state.history))
     save_checkpoint(path, params, model_cfg, bpe=bpe, dtype="float64",
                     extras={"train_state": asdict(meta)}, extra_tensors=extra)
 
@@ -251,14 +247,7 @@ def load_train_state(path):
             out[p] = arr
         return out
 
-    state = TrainState(
-        adam_m=collect("adam.m"),
-        adam_v=collect("adam.v"),
-        adam_t=meta.adam_t,
-        next_epoch=meta.next_epoch,
-        best_dev=math.inf if meta.best_dev is None else meta.best_dev,
-        epochs_since_improve=meta.epochs_since_improve,
-        best_params=collect("best") if meta.has_best else None,
-        history=[EpochStats(*row) for row in meta.history],
-    )
+    history = [EpochStats(*row) for row in meta.history]
+    best_params = None if best_epoch(history) is None else collect("best")
+    state = TrainState(collect("adam.m"), collect("adam.v"), meta.adam_t, best_params, history)
     return ck.params, ck.config, state, ck.bpe

@@ -4,7 +4,7 @@ Epoch e draws its shuffle and dropout noise from ``default_rng([seed, e])``,
 so resuming from a saved state replays the exact remaining epochs: one epoch
 plus one resumed epoch equals two straight epochs bit for bit (the resume
 container stores float64), and a resumed run that had already stopped early
-trains no further epoch.
+trains no further epoch. The epoch history is the one record of progress.
 """
 
 import math
@@ -49,14 +49,11 @@ class EpochStats:
 
 @dataclass
 class TrainState:
-    """Everything needed to continue training where it stopped."""
+    """Everything needed to continue training; ``history`` holds epochs 0, 1, 2, ..."""
 
     adam_m: dict[str, np.ndarray]
     adam_v: dict[str, np.ndarray]
     adam_t: int = 0
-    next_epoch: int = 0
-    best_dev: float = math.inf
-    epochs_since_improve: int = 0
     best_params: dict[str, np.ndarray] | None = None
     history: list[EpochStats] = field(default_factory=list)
 
@@ -75,6 +72,19 @@ class TrainResult:
     state: TrainState
     best_epoch: int | None
     stopped_early: bool
+
+
+def best_epoch(history) -> int | None:
+    """The first epoch with the lowest finite dev loss, if any; a NaN dev loss
+    marks an epoch run without a dev set."""
+    return min(((h.dev_loss, h.epoch) for h in history if math.isfinite(h.dev_loss)),
+               default=(None, None))[1]
+
+
+def epochs_since_best(history) -> int:
+    """The number of epochs with a dev loss after the best epoch."""
+    best = best_epoch(history)
+    return 0 if best is None else sum(math.isfinite(h.dev_loss) for h in history[best + 1:])
 
 
 def adam_step(params, grads, state: TrainState, cfg: TrainConfig) -> None:
@@ -136,9 +146,9 @@ def train(params, model_cfg: ModelConfig, train_pairs, dev_pairs, cfg: TrainConf
 
     def patience_spent():
         return (bool(dev_pairs) and cfg.patience is not None
-                and state.epochs_since_improve >= cfg.patience)
+                and epochs_since_best(state.history) >= cfg.patience)
 
-    for epoch in range(state.next_epoch, cfg.epochs):
+    for epoch in range(len(state.history), cfg.epochs):
         if patience_spent():
             break
         rng = np.random.default_rng([cfg.seed, epoch])
@@ -161,28 +171,9 @@ def train(params, model_cfg: ModelConfig, train_pairs, dev_pairs, cfg: TrainConf
         else:
             dev_loss = math.nan
         state.history.append(EpochStats(epoch, train_loss, dev_loss))
-        state.next_epoch = epoch + 1
-        if dev_pairs:
-            if dev_loss < state.best_dev:
-                state.best_dev = dev_loss
-                state.epochs_since_improve = 0
-                state.best_params = {k: v.copy() for k, v in params.items()}
-            else:
-                state.epochs_since_improve += 1
+        if best_epoch(state.history) == epoch:
+            state.best_params = {k: v.copy() for k, v in params.items()}
 
-    if dev_pairs and state.best_params is not None:
-        out_params = state.best_params
-        best_epoch = min(
-            (h.epoch for h in state.history if h.dev_loss == state.best_dev),
-            default=None,
-        )
-    else:
-        out_params = params
-        best_epoch = None
-    return TrainResult(
-        params=out_params,
-        history=list(state.history),
-        state=state,
-        best_epoch=best_epoch,
-        stopped_early=patience_spent(),
-    )
+    best = best_epoch(state.history) if dev_pairs else None
+    return TrainResult(params if best is None else state.best_params, list(state.history),
+                       state, best, patience_spent())

@@ -6,6 +6,7 @@ builders ``learn_bpe_recount`` and ``hypothesis_from_text`` only wrap their
 results in package types.
 """
 
+import math
 from collections import Counter
 from functools import lru_cache
 
@@ -129,6 +130,28 @@ def beam_search(next_logprobs, beam_width, max_len):
     completed += [(classes, score, False) for classes, score in live]
     completed.sort(key=lambda c: -c[1])
     return completed[:beam_width]
+
+
+def early_stopping_replay(dev_losses, patience=None):
+    """The incremental early-stopping rule, replayed one epoch at a time.
+
+    A NaN loss is an epoch run without a dev set and moves no counter; any
+    other loss is an improvement only when strictly below the best so far.
+    The replay stops before an epoch once ``patience`` epochs in a row
+    brought no improvement. Returns ``(best_epoch, epochs_since_improve,
+    epochs_run)``.
+    """
+    best_dev, best, since = math.inf, None, 0
+    for epoch, loss in enumerate(dev_losses):
+        if patience is not None and since >= patience:
+            return best, since, epoch
+        if math.isnan(loss):
+            continue
+        if loss < best_dev:
+            best_dev, best, since = loss, epoch, 0
+        else:
+            since += 1
+    return best, since, len(dev_losses)
 
 
 def learn_bpe_recount(corpus, n_merges):

@@ -1,4 +1,5 @@
 import copy
+import errno
 import json
 from dataclasses import asdict
 
@@ -11,6 +12,7 @@ from spellcap import tokenizer as tk
 from spellcap.errors import ConfigError, DataFormatError
 from spellcap.seq2seq import (
     ModelConfig,
+    checkpoint,
     init_parameters,
     load_checkpoint,
     load_train_state,
@@ -221,21 +223,79 @@ def _short_history_row(m):
     m["extras"]["train_state"]["history"][0] = [0, 1.5]
 
 
+def _stored_next_epoch(m):
+    m["extras"]["train_state"]["next_epoch"] = 5
+
+
+def _renumbered_history(m):
+    m["extras"]["train_state"]["history"][1][0] = 2
+
+
+def _drop_best_snapshot(m):
+    m["tensors"] = [e for e in m["tensors"] if not e["path"].startswith("best.")]
+
+
 @pytest.mark.parametrize("corrupt, match", [
     (_drop_history, "train_state.history"),
     (_state_as_list, "train_state must be an object"),
     (_extras_as_string, "extras"),
     (_short_history_row, "train_state.history"),
-], ids=["no_history", "state_as_list", "extras_as_string", "short_history_row"])
+    (_stored_next_epoch, "unknown key 'next_epoch'"),
+    (_renumbered_history, "history epochs 0, 1, 2"),
+    (_drop_best_snapshot, "tensor best."),
+], ids=["no_history", "state_as_list", "extras_as_string", "short_history_row",
+        "stored_next_epoch", "renumbered_history", "no_best_snapshot"])
 def test_malformed_resume_state_rejected(tmp_path, params, corrupt, match):
     state = TrainState.fresh(params)
-    state.history.append(EpochStats(0, 1.5, 2.5))
+    state.history += [EpochStats(0, 1.5, 2.5), EpochStats(1, 1.4, 2.6)]
+    state.best_params = params  # the snapshot train keeps once a dev loss is recorded
     path = tmp_path / "m.ckpt.resume"
     save_train_state(str(path), params, CFG, state, BPE)
     load_train_state(str(path))  # intact before the edit
     _rewrite_manifest(path, corrupt)
     with pytest.raises(DataFormatError, match=match):
         load_train_state(str(path))
+
+
+class _FullDisk:
+    """A binary file that takes the first 64 bytes of each write and then
+    fails, as a write to a full disk does."""
+
+    def __init__(self, path, mode):
+        self.f = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[:64])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["checkpoint", "resume_file"])
+def test_failed_write_leaves_earlier_file_intact(tmp_path, params, monkeypatch, resume):
+    path = tmp_path / "m.ckpt"
+
+    def save(p):
+        if resume:
+            save_train_state(str(path), p, CFG, TrainState.fresh(p), BPE)
+        else:
+            save_checkpoint(str(path), p, CFG, BPE)
+
+    save(params)
+    before = path.read_bytes()
+    monkeypatch.setattr(checkpoint, "open", _FullDisk, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save({k: v + 1.0 for k, v in params.items()})
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_missing_parameter_rejected(tmp_path, params):

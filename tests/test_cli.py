@@ -401,14 +401,16 @@ def test_predict_dataset_stdin_is_sniffed(pipeline, capsys, monkeypatch):
     assert [r.gold for r in load_results(out)] != ["-"] * 6
 
 
-def test_predict_empty_input_writes_empty_results(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank_lines"])
+def test_predict_empty_input_exits_3(pipeline, tmp_path, capsys, text):
+    # eval refuses an empty results file, so predict writes none
     empty = tmp_path / "empty.txt"
-    empty.write_text("\n\n")
+    empty.write_text(text)
     out = tmp_path / "out.tsv"
-    code, stdout, _ = run(capsys, "predict", "--checkpoint", str(pipeline["ckpt"]),
-                          "--input", str(empty), "--out", str(out))
-    assert code == 0 and "wrote 0 predictions" in stdout
-    assert out.read_text() == ""
+    code, _, err = run(capsys, "predict", "--checkpoint", str(pipeline["ckpt"]),
+                       "--input", str(empty), "--out", str(out))
+    assert code == 3 and str(empty) in err
+    assert not out.exists()
 
 
 def test_predict_beam_width_validation(pipeline, tmp_path, capsys):

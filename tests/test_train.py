@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spellcap.errors import ConfigError, NumericError
 from spellcap.seq2seq import (
@@ -13,8 +15,17 @@ from spellcap.seq2seq import (
     train,
 )
 from spellcap.seq2seq.decode import greedy_decode
-from spellcap.seq2seq.train import TrainState, adam_step, evaluate
+from spellcap.seq2seq.train import (
+    EpochStats,
+    TrainState,
+    adam_step,
+    best_epoch,
+    epochs_since_best,
+    evaluate,
+)
 from spellcap.tokenizer import learn_bpe
+
+from oracles import early_stopping_replay
 
 
 CFG = ModelConfig(
@@ -168,6 +179,33 @@ def test_resume_after_early_stop_trains_no_further_epoch(tmp_path):
     for k in pa:
         assert np.array_equal(pa[k], p2[k]), k
         assert np.array_equal(res_a.params[k], res_b.params[k]), k
+
+
+@given(devs=st.lists(st.sampled_from([0.5, 1.0, 1.5, math.nan]), max_size=12),
+       patience=st.integers(1, 4))
+def test_history_counters_match_incremental_rule(devs, patience):
+    # few distinct losses, so ties are common; NaN epochs ran without a dev set
+    history = [EpochStats(e, 1.0, d) for e, d in enumerate(devs)]
+    assert (best_epoch(history), epochs_since_best(history)) == early_stopping_replay(devs)[:2]
+    # train stops before the first epoch whose history so far has spent the patience
+    stop = next((k for k in range(len(devs))
+                 if epochs_since_best(history[:k]) >= patience), len(devs))
+    assert stop == early_stopping_replay(devs, patience)[2]
+
+
+def test_resume_of_a_run_without_dev_set_then_with_one(tmp_path):
+    tr, dev = pairs(seed=10, n=20), pairs(seed=11, n=6)
+    p = init_parameters(CFG, seed=7)
+    first = train(p, CFG, tr, [], TrainConfig(batch_size=4, learning_rate=1e-3, epochs=1))
+    path = str(tmp_path / "state.ckpt")
+    save_train_state(path, p, CFG, first.state, BPE)
+    p2, _, state, _ = load_train_state(path)
+    assert state.best_params is None and len(state.history) == 1
+    res = train(p2, CFG, tr, dev, TrainConfig(batch_size=4, learning_rate=1e-3, epochs=3),
+                state=state)
+    devs = [h.dev_loss for h in res.history]
+    assert math.isnan(devs[0]) and res.best_epoch == devs.index(min(devs[1:]))
+    assert res.params is res.state.best_params
 
 
 def test_same_seed_same_run():
