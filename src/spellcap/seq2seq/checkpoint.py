@@ -8,6 +8,9 @@ trained with, which every checkpoint carries), ``tensors``
 (the Adam step count and the epoch history) beside ``adam.*`` tensors, and
 ``best.*`` ones once the history holds a finite dev loss, so a resumed run
 continues bit-exactly. A failed write leaves any earlier file as it was.
+A reader consumes exactly its file: a duplicate tensor path, bytes after the
+last tensor, a tensor beside the parameters of a checkpoint without extras
+and one that no group of a resume file claims are each a DataFormatError.
 Each block is read by ``_typed`` against its dataclass fields: a missing block
 or key, an unknown key or a value of the wrong JSON type is a DataFormatError
 (exit 3) naming its path, such as ``manifest bpe`` or ``config.n_layers``, as
@@ -162,7 +165,10 @@ def _read(path):
     dt = np.dtype(_DTYPES[dtype_name])
     data = blob[nl + 1 :]
     tensors = {}
+    end = 0
     for entry in entries:
+        if entry.path in tensors:
+            raise DataFormatError(f"tensor {entry.path}: duplicate path")
         want = math.prod(entry.shape) * dt.itemsize
         if entry.nbytes != want:
             raise DataFormatError(f"tensor {entry.path}: nbytes/shape mismatch")
@@ -170,6 +176,9 @@ def _read(path):
         if len(raw) != want:
             raise DataFormatError(f"tensor {entry.path}: file truncated")
         tensors[entry.path] = np.frombuffer(raw, dt).reshape(entry.shape).astype(np.float64)
+        end = max(end, entry.offset + entry.nbytes)
+    if len(data) > end:
+        raise DataFormatError(f"{len(data) - end} bytes after the last tensor")
     return manifest, tensors
 
 
@@ -216,6 +225,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise DataFormatError(f"bpe token {tok!r} has id {i} outside "
                                   f"[0, vocab_size {config.vocab_size})")
     extras = _value(dict[str, dict], manifest.get("extras", {}), "manifest extras")
+    if tensors and not extras:
+        raise DataFormatError(f"tensor {next(iter(tensors))} is not a parameter")
     return Checkpoint(params, config, bpe, extras, tensors, manifest["dtype"])
 
 
@@ -248,6 +259,10 @@ def load_train_state(path):
         return out
 
     history = [EpochStats(*row) for row in meta.history]
-    best_params = None if best_epoch(history) is None else collect("best")
+    groups = ("adam.m", "adam.v") + (() if best_epoch(history) is None else ("best",))
+    claimed = {f"{g}.{p}" for g in groups for p in shapes}
+    if stray := [t for t in ck.extra_tensors if t not in claimed]:
+        raise DataFormatError(f"tensor {stray[0]} is not part of the resume state")
+    best_params = collect("best") if "best" in groups else None
     state = TrainState(collect("adam.m"), collect("adam.v"), meta.adam_t, best_params, history)
     return ck.params, ck.config, state, ck.bpe

@@ -7,7 +7,20 @@ Sources and targets share one embedding table; the output projection maps to
 the 29-way character alphabet (EOS + a-z + apostrophe + hyphen).
 
 Shapes use B for batch, S/T for source/target length, D for d_model, H for
-heads, F for d_ff, C for output classes.
+heads, F for d_ff, C for output classes, N for valid positions.
+
+Training and evaluation run padding-free. A batch arrives padded to [B, S]
+and [B, T] (``pack_batch``), but every position-wise operation (embedding,
+layer norm, FFN, dropout, the q/k/v/o projections, the output layer and
+their weight gradients) runs on the valid positions alone, stacked as rows
+[N, D] in row-major (example, position) order; a ``Layout`` says which
+positions those are. Only attention needs the padded layout: its queries,
+keys and values are scattered to [B, H, L, D/H] with zero rows at padding,
+which the key mask keeps out of every valid row's softmax, and its context
+is gathered back to rows before ``wo``. When every position is valid (one
+utterance at inference), packing is a reshape and nothing is scattered.
+Dropout masks are drawn over the padded shape and then packed, so the random
+stream does not depend on the padding.
 """
 
 import math
@@ -122,10 +135,37 @@ def positional_encoding(length: int, d_model: int) -> np.ndarray:
 # ---------------------------------------------------------------- primitives
 
 
-def _dropout_f(x, rate, rng):
+# The valid positions of a padded [B, L] batch: ``index`` holds their flat
+# indices into B * L in row-major order, or is None when every position is
+# valid; ``shape`` is (B, L); ``keys`` is the mask (see ``_attend``) of an
+# attention whose keys are these positions.
+Layout = namedtuple("Layout", "index shape keys")
+
+
+def _layout(valid, keys):
+    return Layout(None if valid.all() else np.flatnonzero(valid), valid.shape, keys)
+
+
+def _pack(x, rows):
+    """[B, L, ...] -> the valid rows [N, ...] of the layout ``rows``."""
+    flat = x.reshape(-1, *x.shape[2:])
+    return flat if rows.index is None else flat[rows.index]
+
+
+def _unpack(x, rows):
+    """The valid rows [N, ...] -> [B, L, ...], zero at padding."""
+    if rows.index is not None:
+        full = np.zeros((math.prod(rows.shape), *x.shape[1:]))
+        full[rows.index] = x
+        x = full
+    return x.reshape(*rows.shape, *x.shape[1:])
+
+
+def _dropout_f(x, rate, rng, rows):
+    """Dropout of the rows ``x``, with the mask drawn over the padded layout."""
     if rng is None or rate <= 0.0:
         return x, None
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    mask = (_pack(rng.random((*rows.shape, x.shape[-1])), rows) >= rate) / (1.0 - rate)
     return x * mask, mask
 
 
@@ -135,8 +175,7 @@ def _dropout_b(dy, mask):
 
 def _weight_grad(x, dy):
     """Gradient of a weight applied as ``x @ w``: the sum over every leading
-    (batch, position) axis of the outer products x[..., i] dy[..., j], as one
-    2-D gemm."""
+    (row) axis of the outer products x[..., i] dy[..., j], as one 2-D gemm."""
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
@@ -145,9 +184,10 @@ _LN_EPS = 1e-5
 
 def _layer_norm_f(x, p, prefix):
     """Layer norm with the parameters ``{prefix}.gain`` and ``{prefix}.bias``."""
-    mu = x.mean(-1, keepdims=True)
+    d = x.shape[-1]  # np.add.reduce / d is ndarray.mean without its Python layer
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     xc = x - mu
-    var = (xc * xc).mean(-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     gain = p[f"{prefix}.gain"]
@@ -155,15 +195,17 @@ def _layer_norm_f(x, p, prefix):
 
 
 def _layer_norm_b(dy, cache, grads):
-    """Adds the gain and bias gradients to ``grads``; returns dx."""
+    """Backward over rows [N, D]: adds the gain and bias gradients to
+    ``grads``; returns dx."""
     prefix, xhat, inv, gain = cache
-    grads[f"{prefix}.gain"] += (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    grads[f"{prefix}.bias"] += dy.sum(axis=tuple(range(dy.ndim - 1)))
+    grads[f"{prefix}.gain"] += (dy * xhat).sum(0)
+    grads[f"{prefix}.bias"] += dy.sum(0)
     dxhat = dy * gain
+    d = dy.shape[-1]
     return inv * (
         dxhat
-        - dxhat.mean(-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(-1, keepdims=True)
+        - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
     )
 
 
@@ -177,8 +219,11 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
-# ``weights`` holds the softmax rows [B, H, query, key]
-AttentionCache = namedtuple("AttentionCache", "xq xkv q k v weights ctx scale")
+# ``xq``, ``xkv`` and ``ctx`` are rows laid out by ``q_rows``/``kv_rows``;
+# ``q``, ``k``, ``v`` are padded and head-split; ``weights`` holds the softmax
+# rows [B, H, query, key]
+AttentionCache = namedtuple("AttentionCache",
+                            "xq xkv q k v weights ctx scale q_rows kv_rows")
 
 
 def _attend(q, k, v, mask):
@@ -195,24 +240,25 @@ def _attend(q, k, v, mask):
     return weights, _merge_heads(weights @ v), scale
 
 
-def _attention_f(xq, xkv, p, prefix, n_heads, mask):
-    """Multi-head attention of ``xq`` over ``xkv`` (see ``_attend`` for ``mask``)."""
+def _attention_f(xq, xkv, p, prefix, n_heads, q_rows, kv_rows):
+    """Multi-head attention of the rows ``xq`` (laid out by ``q_rows``) over
+    the rows ``xkv`` (laid out by ``kv_rows``, whose ``keys`` mask applies)."""
     wq, wk, wv, wo = (p[f"{prefix}.{w}"] for w in ("wq", "wk", "wv", "wo"))
-    q = _split_heads(xq @ wq, n_heads)
-    k = _split_heads(xkv @ wk, n_heads)
-    v = _split_heads(xkv @ wv, n_heads)
-    weights, ctx, scale = _attend(q, k, v, mask)
-    y = ctx @ wo
-    return y, AttentionCache(xq, xkv, q, k, v, weights, ctx, scale)
+    q = _split_heads(_unpack(xq @ wq, q_rows), n_heads)
+    k = _split_heads(_unpack(xkv @ wk, kv_rows), n_heads)
+    v = _split_heads(_unpack(xkv @ wv, kv_rows), n_heads)
+    weights, ctx, scale = _attend(q, k, v, kv_rows.keys)
+    ctx = _pack(ctx, q_rows)
+    return ctx @ wo, AttentionCache(xq, xkv, q, k, v, weights, ctx, scale, q_rows, kv_rows)
 
 
 def _attention_b(dy, cache, p, prefix, grads):
-    xq, xkv, q, k, v, weights, ctx, scale = cache
+    xq, xkv, q, k, v, weights, ctx, scale, q_rows, kv_rows = cache
     wq, wk, wv, wo = (p[f"{prefix}.{w}"] for w in ("wq", "wk", "wv", "wo"))
     n_heads = q.shape[1]
 
     grads[f"{prefix}.wo"] += _weight_grad(ctx, dy)
-    dctx = _split_heads(dy @ wo.T, n_heads)
+    dctx = _split_heads(_unpack(dy @ wo.T, q_rows), n_heads)
     dw = dctx @ v.swapaxes(-1, -2)
     dv = weights.swapaxes(-1, -2) @ dctx
     # softmax rows: masked entries carry weight exactly 0, so ds vanishes there
@@ -221,7 +267,8 @@ def _attention_b(dy, cache, p, prefix, grads):
     dq = ds @ k
     dk = ds.swapaxes(-1, -2) @ q
 
-    dq_m, dk_m, dv_m = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+    dq_m = _pack(_merge_heads(dq), q_rows)
+    dk_m, dv_m = _pack(_merge_heads(dk), kv_rows), _pack(_merge_heads(dv), kv_rows)
     grads[f"{prefix}.wq"] += _weight_grad(xq, dq_m)
     grads[f"{prefix}.wk"] += _weight_grad(xkv, dk_m)
     grads[f"{prefix}.wv"] += _weight_grad(xkv, dv_m)
@@ -240,30 +287,33 @@ def _ffn_f(x, p, prefix):
 def _ffn_b(dy, cache, p, prefix, grads):
     x, z, h = cache
     grads[f"{prefix}.w2"] += _weight_grad(h, dy)
-    grads[f"{prefix}.b2"] += dy.sum((0, 1))
+    grads[f"{prefix}.b2"] += dy.sum(0)
     dh = dy @ p[f"{prefix}.w2"].T
     dz = dh * (z > 0.0)
     grads[f"{prefix}.w1"] += _weight_grad(x, dz)
-    grads[f"{prefix}.b1"] += dz.sum((0, 1))
+    grads[f"{prefix}.b1"] += dz.sum(0)
     return dz @ p[f"{prefix}.w1"].T
 
 
-def _embed_f(p, cfg, ids, rng, start=0):
-    """Scaled embeddings plus the positional encoding of positions
-    ``start .. start + ids.shape[1] - 1``."""
+def _embed_f(p, cfg, ids, rows, rng, start=0):
+    """Rows of scaled embeddings plus the positional encoding for the valid
+    ``ids`` [B, L], which sit at positions ``start .. start + L - 1``."""
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError("token id outside [0, vocab_size)")
     scale = math.sqrt(cfg.d_model)
-    x = p["embedding"][ids] * scale
-    x = x + positional_encoding(start + ids.shape[1], cfg.d_model)[None, start:]
-    x, mask = _dropout_f(x, cfg.dropout, rng)
-    return x, (ids, scale, mask)
+    length = ids.shape[1]
+    tokens = _pack(ids, rows)
+    pos = (np.arange(ids.size) if rows.index is None else rows.index) % length
+    x = p["embedding"][tokens] * scale
+    x = x + positional_encoding(start + length, cfg.d_model)[start + pos]
+    x, mask = _dropout_f(x, cfg.dropout, rng, rows)
+    return x, (tokens, scale, mask)
 
 
 def _embed_b(dx, cache, grads):
-    ids, scale, mask = cache
+    tokens, scale, mask = cache
     dx = _dropout_b(dx, mask)
-    np.add.at(grads["embedding"], ids, dx * scale)
+    np.add.at(grads["embedding"], tokens, dx * scale)
 
 
 # ---------------------------------------------------------- encoder, decoder
@@ -275,10 +325,11 @@ def _embed_b(dx, cache, grads):
 Sublayer = namedtuple("Sublayer", "kind prefix ln f drop")
 
 
-def _stack_f(x, p, cfg, stack, rng, self_mask, memory=None, memory_mask=None):
-    """Every layer of ``stack`` over ``x`` (see ``LAYERS``), then the stack's
-    final layer norm; "cross" sublayers attend over ``memory``. Returns
-    (output, sublayer caches in order, final-norm cache)."""
+def _stack_f(x, p, cfg, stack, rng, rows, memory=None, memory_rows=None):
+    """Every layer of ``stack`` over the rows ``x`` laid out by ``rows`` (see
+    ``LAYERS``), then the stack's final layer norm; "cross" sublayers attend
+    over the rows ``memory`` laid out by ``memory_rows``. Returns (output
+    rows, sublayer caches in order, final-norm cache)."""
     caches = []
     for i in range(cfg.n_layers):
         for kind, ln, body in LAYERS[stack]:
@@ -287,10 +338,10 @@ def _stack_f(x, p, cfg, stack, rng, self_mask, memory=None, memory_mask=None):
             if kind == "ffn":
                 y, c_f = _ffn_f(a, p, prefix)
             elif kind == "self":
-                y, c_f = _attention_f(a, a, p, prefix, cfg.n_heads, self_mask)
+                y, c_f = _attention_f(a, a, p, prefix, cfg.n_heads, rows, rows)
             else:
-                y, c_f = _attention_f(a, memory, p, prefix, cfg.n_heads, memory_mask)
-            y, drop = _dropout_f(y, cfg.dropout, rng)
+                y, c_f = _attention_f(a, memory, p, prefix, cfg.n_heads, rows, memory_rows)
+            y, drop = _dropout_f(y, cfg.dropout, rng, rows)
             x = x + y
             caches.append(Sublayer(kind, prefix, c_ln, c_f, drop))
     out, c_norm = _layer_norm_f(x, p, f"{stack}.norm")
@@ -316,10 +367,10 @@ def _stack_b(dout, caches, c_norm, p, grads):
     return dx, dmem
 
 
-def _encode_f(p, cfg, src, src_valid, rng):
-    x, c_emb = _embed_f(p, cfg, src, rng)
-    src_mask = src_valid[:, None, None, :]
-    memory, caches, c_norm = _stack_f(x, p, cfg, "encoder", rng, src_mask)
+def _encode_f(p, cfg, src, src_rows, rng):
+    """The memory rows of the valid positions of ``src`` [B, S]."""
+    x, c_emb = _embed_f(p, cfg, src, src_rows, rng)
+    memory, caches, c_norm = _stack_f(x, p, cfg, "encoder", rng, src_rows)
     return memory, (c_emb, caches, c_norm)
 
 
@@ -328,12 +379,10 @@ def _encode_b(dmem, enc_caches, p, grads):
     _embed_b(_stack_b(dmem, caches, c_norm, p, grads)[0], c_emb, grads)
 
 
-def _decode_f(p, cfg, memory, src_valid, tgt_in, rng):
-    y, c_emb = _embed_f(p, cfg, tgt_in, rng)
-    t = tgt_in.shape[1]
-    causal = np.tril(np.ones((t, t), dtype=bool))[None, None]
-    yn, caches, c_norm = _stack_f(y, p, cfg, "decoder", rng, causal,
-                                  memory, src_valid[:, None, None, :])
+def _decode_f(p, cfg, memory, src_rows, tgt_in, tgt_rows, rng):
+    """Logit rows of the valid positions of ``tgt_in`` [B, T]."""
+    y, c_emb = _embed_f(p, cfg, tgt_in, tgt_rows, rng)
+    yn, caches, c_norm = _stack_f(y, p, cfg, "decoder", rng, tgt_rows, memory, src_rows)
     logits = yn @ p["output.weight"] + p["output.bias"]
     return logits, (c_emb, caches, c_norm, yn)
 
@@ -342,7 +391,7 @@ def _decode_b(dlogits, dec_caches, p, grads):
     """Returns the gradient of the encoder memory."""
     c_emb, caches, c_norm, yn = dec_caches
     grads["output.weight"] += _weight_grad(yn, dlogits)
-    grads["output.bias"] += dlogits.sum((0, 1))
+    grads["output.bias"] += dlogits.sum(0)
     dy, dmem = _stack_b(dlogits @ p["output.weight"].T, caches, c_norm, p, grads)
     _embed_b(dy, c_emb, grads)
     return dmem
@@ -400,24 +449,32 @@ def _log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(-1, keepdims=True))
 
 
-def _forward(p, cfg, src_arr, src_valid, tgt_in, rng=None):
+def _layouts(src_valid, labels):
+    """The source layout, whose padded keys are masked (no mask when every
+    position is valid), and the target layout of the supervised positions,
+    whose keys are masked causally; target padding only ever follows them."""
+    t = labels.shape[1]
+    return (_layout(src_valid, None if src_valid.all() else src_valid[:, None, None, :]),
+            _layout(labels >= 0, np.tril(np.ones((t, t), dtype=bool))[None, None]))
+
+
+def _forward(p, cfg, src_arr, src_valid, tgt_in, labels, rng=None):
+    """The teacher-forced pass over a ``pack_batch`` batch. Returns (logits
+    [N, C] and labels [N] of the supervised positions in row-major order,
+    caches)."""
     if src_arr.shape[1] > cfg.max_src_len:
         raise ValueError(f"source longer than max_src_len={cfg.max_src_len}")
     if tgt_in.shape[1] > cfg.max_tgt_len:
         raise ValueError(f"target longer than max_tgt_len={cfg.max_tgt_len}")
-    memory, enc_caches = _encode_f(p, cfg, src_arr, src_valid, rng)
-    logits, dec_caches = _decode_f(p, cfg, memory, src_valid, tgt_in, rng)
-    return logits, (enc_caches, dec_caches)
+    src_rows, tgt_rows = _layouts(src_valid, labels)
+    memory, enc_caches = _encode_f(p, cfg, src_arr, src_rows, rng)
+    logits, dec_caches = _decode_f(p, cfg, memory, src_rows, tgt_in, tgt_rows, rng)
+    return logits, _pack(labels, tgt_rows), (enc_caches, dec_caches)
 
 
 def _nll(logp, labels):
-    """Mean negative log-probability of the labels over supervised positions."""
-    valid = labels >= 0
-    n = int(valid.sum())
-    if n == 0:
-        raise ValueError("batch has no supervised positions")
-    picked = logp[valid, labels[valid]]
-    return -picked.sum() / n
+    """Mean negative log-probability of ``labels`` [N], one per row of ``logp``."""
+    return -logp[np.arange(len(labels)), labels].sum() / len(labels)
 
 
 def loss_from_logits(logits, labels):
@@ -427,18 +484,15 @@ def loss_from_logits(logits, labels):
 def loss_and_gradients(p, cfg: ModelConfig, batch, dropout_rng=None):
     """One forward-backward pass; returns (loss, grads keyed like params)."""
     src_arr, src_valid, tgt_in, labels = pack_batch(batch)
-    logits, (enc_caches, dec_caches) = _forward(
-        p, cfg, src_arr, src_valid, tgt_in, dropout_rng
+    logits, target, (enc_caches, dec_caches) = _forward(
+        p, cfg, src_arr, src_valid, tgt_in, labels, dropout_rng
     )
     logp = _log_softmax(logits)
-    value = float(_nll(logp, labels))
+    value = float(_nll(logp, target))
 
-    valid = labels >= 0
-    n = int(valid.sum())
+    n = len(target)
     dlogits = np.exp(logp)
-    b_idx, t_idx = np.nonzero(valid)
-    dlogits[b_idx, t_idx, labels[valid]] -= 1.0
-    dlogits[~valid] = 0.0
+    dlogits[np.arange(n), target] -= 1.0
     dlogits /= n
 
     grads = {path: np.zeros_like(arr) for path, arr in p.items()}
@@ -456,9 +510,7 @@ def encode(p, cfg: ModelConfig, src_ids) -> np.ndarray:
     if len(src_ids) > cfg.max_src_len:
         raise ValueError(f"source longer than max_src_len={cfg.max_src_len}")
     arr = np.asarray([src_ids], dtype=np.int64)
-    valid = np.ones_like(arr, dtype=bool)
-    memory, _ = _encode_f(p, cfg, arr, valid, None)
-    return memory[0]
+    return _encode_f(p, cfg, arr, Layout(None, arr.shape, None), None)[0]
 
 
 # One decoder layer's keys and values, split into heads [rows, H, len, dh].
@@ -497,7 +549,8 @@ def decoder_forward(p, cfg: ModelConfig, cache, tokens) -> np.ndarray:
     of every row of ``cache`` (from ``decoder_cache``). Computes only that one
     new position and appends its self-attention K/V to ``cache`` in place."""
     ids = np.asarray(tokens, dtype=np.int64)[:, None]
-    y, _ = _embed_f(p, cfg, ids, None, cache[0].self_k.shape[2])
+    y = _embed_f(p, cfg, ids, Layout(None, ids.shape, None), None,
+                 cache[0].self_k.shape[2])[0][:, None]
     for i, kv in enumerate(cache):
         prefix = f"decoder.{i}"
         a, _ = _layer_norm_f(y, p, f"{prefix}.ln1")
@@ -521,15 +574,16 @@ def forward_details(p, cfg: ModelConfig, src_ids, tgt_ids):
     """Attention maps and logits for one pair, from the teacher-forced
     training forward pass, for inspection and tests."""
     src_arr, src_valid, tgt_in, labels = pack_batch([(src_ids, tgt_ids)])
-    memory, (_, enc, _) = _encode_f(p, cfg, src_arr, src_valid, None)
-    logits, (_, dec, _, _) = _decode_f(p, cfg, memory, src_valid, tgt_in, None)
+    src_rows, tgt_rows = _layouts(src_valid, labels)  # all valid: rows are positions
+    memory, (_, enc, _) = _encode_f(p, cfg, src_arr, src_rows, None)
+    logits, (_, dec, _, _) = _decode_f(p, cfg, memory, src_rows, tgt_in, tgt_rows, None)
 
     def weights(caches, kind):
         return [s.f.weights[0] for s in caches if s.kind == kind]
 
     return {
-        "memory": memory[0],
-        "logits": logits[0],
+        "memory": memory,
+        "logits": logits,
         "labels": labels[0],
         "enc_attn": weights(enc, "self"),
         "dec_self_attn": weights(dec, "self"),

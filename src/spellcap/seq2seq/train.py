@@ -109,11 +109,9 @@ def evaluate(params, model_cfg: ModelConfig, pairs, batch_size: int = 32) -> flo
     count = 0
     for start in range(0, len(pairs), batch_size):
         chunk = pairs[start : start + batch_size]
-        src_arr, src_valid, tgt_in, labels = pack_batch(chunk)
-        logits, _ = _forward(params, model_cfg, src_arr, src_valid, tgt_in)
-        n = int((labels >= 0).sum())
-        total += float(loss_from_logits(logits, labels)) * n
-        count += n
+        logits, target, _ = _forward(params, model_cfg, *pack_batch(chunk))
+        total += float(loss_from_logits(logits, target)) * len(target)
+        count += len(target)
     if count == 0:
         raise ValueError("no supervised positions in evaluation set")
     return total / count

@@ -12,6 +12,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import layers  # noqa: E402
+from spans import INFO, Tracer  # noqa: E402
 
 
 @pytest.mark.parametrize("module, attr", [(m, a) for m, a, _, _ in layers.WRAPPED],
@@ -25,3 +26,28 @@ def test_decoder_forward_tokens_is_argument_3():
     from spellcap.seq2seq.decode import decoder_forward
 
     assert list(inspect.signature(decoder_forward).parameters)[3] == "tokens"
+
+
+@pytest.mark.parametrize("module", ["spellcap.seq2seq.model", "spellcap.seq2seq.train"])
+def test_pack_batch_hook_sees_the_padded_batch(module):
+    # the traced run reads src_pad_fraction and tgt_pad_fraction from the
+    # padded 4-tuple pack_batch returns to the training step (which looks it
+    # up in model) and to evaluate (in train); a step that packed the batch
+    # some other way would read 0 padding while still padding nothing
+    from spellcap.seq2seq.model import ModelConfig, init_parameters, loss_and_gradients
+    from spellcap.seq2seq.train import evaluate
+
+    cfg = ModelConfig(vocab_size=40, n_layers=1, n_heads=2, d_model=8, d_ff=16,
+                      dropout=0.0, max_src_len=16, max_tgt_len=16)
+    params = init_parameters(cfg, seed=0)
+    batch = [([5, 6, 7, 8, 9], [1, 4, 5, 6, 2]), ([5], [1, 4, 2])]
+    entry = next(e for e in layers.WRAPPED if e[0] == module and e[1] == "pack_batch")
+    tracer = Tracer()
+    tracer.install(*entry)
+    try:
+        loss_and_gradients(params, cfg, batch)
+        evaluate(params, cfg, batch)
+    finally:
+        tracer.uninstall()
+    # src positions, src padding, tgt positions, tgt padding
+    assert [s[INFO] for s in tracer.named(entry[2])] == [(10, 4, 8, 2)]

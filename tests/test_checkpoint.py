@@ -253,6 +253,10 @@ def test_malformed_resume_state_rejected(tmp_path, params, corrupt, match):
     save_train_state(str(path), params, CFG, state, BPE)
     load_train_state(str(path))  # intact before the edit
     _rewrite_manifest(path, corrupt)
+    if corrupt is _drop_best_snapshot:  # the snapshot's bytes, which end the file, go too
+        head, _, rest = path.read_bytes().partition(b"\n")
+        end = max(e["offset"] + e["nbytes"] for e in json.loads(head)["tensors"])
+        path.write_bytes(head + b"\n" + rest[:end])
     with pytest.raises(DataFormatError, match=match):
         load_train_state(str(path))
 
@@ -349,3 +353,60 @@ def test_mutated_manifest_ends_in_typed_error(saved_files, data):
         load(str(path))
     except (DataFormatError, ConfigError):
         pass
+
+
+def _duplicate_entry(m):
+    m["tensors"].append(dict(m["tensors"][0]))
+
+
+def _stray_entry(path):
+    def corrupt(m):
+        last = m["tensors"][-1]
+        m["tensors"].append({**last, "path": path})  # reuses the last tensor's bytes
+    return corrupt
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["checkpoint", "resume_file"])
+@pytest.mark.parametrize("corrupt, match", [
+    (_duplicate_entry, "tensor embedding: duplicate path"),
+    (None, "8 bytes after the last tensor"),
+], ids=["duplicate_path", "trailing_bytes"])
+def test_reader_consumes_exactly_its_file(tmp_path, params, resume, corrupt, match):
+    path = tmp_path / "m.ckpt"
+    if resume:
+        save_train_state(str(path), params, CFG, TrainState.fresh(params), BPE)
+    else:
+        save_checkpoint(str(path), params, CFG, BPE)
+    if corrupt is None:
+        path.write_bytes(path.read_bytes() + bytes(8))
+    else:
+        _rewrite_manifest(path, corrupt)
+    with pytest.raises(DataFormatError, match=match):
+        (load_train_state if resume else load_checkpoint)(str(path))
+
+
+def test_checkpoint_without_extras_holds_only_parameters(tmp_path, params):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), params, CFG, BPE)
+    _rewrite_manifest(path, _stray_entry("encoder.0.attn.wz"))
+    with pytest.raises(DataFormatError, match="tensor encoder.0.attn.wz is not a parameter"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("stray, dev_loss", [
+    (None, float("nan")),  # best.* saved beside a history without a dev loss
+    ("adam.x.embedding", 2.5),
+    ("best.output.extra", 2.5),
+], ids=["best_without_dev_loss", "misspelled_group", "unknown_best_path"])
+def test_resume_reader_refuses_unclaimed_tensors(tmp_path, params, stray, dev_loss):
+    state = TrainState.fresh(params)
+    state.history.append(EpochStats(0, 1.5, dev_loss))
+    state.best_params = params
+    path = tmp_path / "m.ckpt.resume"
+    save_train_state(str(path), params, CFG, state, BPE)
+    if stray is not None:
+        load_train_state(str(path))  # intact before the edit
+        _rewrite_manifest(path, _stray_entry(stray))
+    with pytest.raises(DataFormatError,
+                       match=rf"tensor {stray or 'best.embedding'} is not part of the resume"):
+        load_train_state(str(path))

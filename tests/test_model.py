@@ -143,10 +143,9 @@ def test_padding_does_not_leak_between_examples(params):
     short = pairs(seed=1, n=1)[0]
     long_src = (list(range(4, 20)), [1, 4, 5, 6, 7, 8, 9, 2])
     solo = M.forward_details(params, TINY, *short)["logits"]
-    src_arr, src_valid, tgt_in, _ = M.pack_batch([short, long_src])
-    logits, _ = M._forward(params, TINY, src_arr, src_valid, tgt_in)
-    t = len(short[1]) - 1
-    assert np.max(np.abs(logits[0, :t] - solo)) <= 1e-9
+    logits, _, _ = M._forward(params, TINY, *M.pack_batch([short, long_src]))
+    t = len(short[1]) - 1  # the short example's rows come first
+    assert np.max(np.abs(logits[:t] - solo)) <= 1e-9
 
 
 def test_unused_output_rows_still_get_gradient(params):
@@ -205,9 +204,121 @@ def test_weight_grad_equals_einsum(layout):
 def test_training_loss_equals_evaluation_loss(params):
     batch = pairs(4, 6)
     value, _ = M.loss_and_gradients(params, TINY, batch)
-    src_arr, src_valid, tgt_in, labels = M.pack_batch(batch)
-    logits, _ = M._forward(params, TINY, src_arr, src_valid, tgt_in)
-    assert value == float(M.loss_from_logits(logits, labels))
+    logits, target, _ = M._forward(params, TINY, *M.pack_batch(batch))
+    assert value == float(M.loss_from_logits(logits, target))
+
+
+@given(lengths=st.lists(st.tuples(st.integers(1, 12), st.integers(0, 9)),
+                        min_size=2, max_size=5),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_batch_step_is_the_length_weighted_sum_of_single_steps(params, lengths, seed):
+    # padding-invariance: an example's rows see no other example and no
+    # padding, so the batch step is the mean over every supervised position
+    rng = np.random.default_rng(seed)
+    batch = [([int(x) for x in rng.integers(4, 36, size=s)],
+              [1] + [M.id_of_class(int(c)) for c in rng.integers(1, M.N_CLASSES, size=t)]
+              + [2])
+             for s, t in lengths]
+    value, grads = M.loss_and_gradients(params, TINY, batch)
+    weights = np.array([len(tgt) - 1 for _, tgt in batch]) / sum(len(tgt) - 1 for _, tgt in batch)
+    singles = [M.loss_and_gradients(params, TINY, [pair]) for pair in batch]
+    assert abs(value - sum(w * v for w, (v, _) in zip(weights, singles))) <= 1e-12 * value
+    for path, g in grads.items():
+        want = sum(w * gs[path] for w, (_, gs) in zip(weights, singles))
+        assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), path
+
+
+# loss and per-tensor (sum, sum of |g|) of one mixed-length step with dropout,
+# recorded from the padded implementation the packed one replaced
+PINNED_LOSS = 3.5025742517395453
+PINNED_GRADS = {
+    "embedding": (-0.22449813529543258, 3.3933955885572975),
+    "encoder.0.ln1.gain": (-0.027848168132591968, 0.10321897962244606),
+    "encoder.0.ln1.bias": (0.00632351877133043, 0.12335411777549779),
+    "encoder.0.attn.wq": (-8.443224418230866e-18, 0.32414380305013063),
+    "encoder.0.attn.wk": (1.0787811616230769e-17, 0.26400775726446185),
+    "encoder.0.attn.wv": (1.7780915628762273e-17, 0.5963765664129121),
+    "encoder.0.attn.wo": (-0.0018562467198382504, 0.5997808382304682),
+    "encoder.0.ln2.gain": (0.006908867553647422, 0.0352555721693188),
+    "encoder.0.ln2.bias": (-0.01696886792874728, 0.025284783213719082),
+    "encoder.0.ffn.w1": (-1.6263032587282567e-17, 0.6982337372684023),
+    "encoder.0.ffn.b1": (-0.007076175774825395, 0.06548457434597552),
+    "encoder.0.ffn.w2": (-0.11826637276797403, 0.8880758402382204),
+    "encoder.0.ffn.b2": (-0.02110922327256002, 0.123788100964252),
+    "encoder.1.ln1.gain": (0.022193757169575903, 0.05177063376385582),
+    "encoder.1.ln1.bias": (-0.00467852624105607, 0.06491569750316303),
+    "encoder.1.attn.wq": (2.981555974335137e-19, 0.07492328637867442),
+    "encoder.1.attn.wk": (2.168404344971009e-19, 0.2063665009539192),
+    "encoder.1.attn.wv": (1.2305694657710475e-17, 0.3447393059311279),
+    "encoder.1.attn.wo": (-0.022481982396438255, 0.3292103321983205),
+    "encoder.1.ln2.gain": (-0.006344087552285162, 0.035242810502104024),
+    "encoder.1.ln2.bias": (0.025701723043561435, 0.055355756216297486),
+    "encoder.1.ffn.w1": (6.179952383167375e-18, 0.614758319130903),
+    "encoder.1.ffn.b1": (-0.004670955032557345, 0.11428414640510554),
+    "encoder.1.ffn.w2": (0.08767191171713276, 0.6007516376682233),
+    "encoder.1.ffn.b2": (0.014807969673501536, 0.08971301102512827),
+    "encoder.norm.gain": (-0.00680208392992751, 0.1790641790565567),
+    "encoder.norm.bias": (0.10141349357467995, 0.191135611334941),
+    "decoder.0.ln1.gain": (0.03679092083753786, 0.23909103497455214),
+    "decoder.0.ln1.bias": (-0.16906396102587423, 0.21399516388784018),
+    "decoder.0.self_attn.wq": (2.314771638256552e-17, 0.38167839937882597),
+    "decoder.0.self_attn.wk": (1.4216600986716177e-17, 0.352398951214443),
+    "decoder.0.self_attn.wv": (-1.5612511283791264e-17, 1.1268706354371916),
+    "decoder.0.self_attn.wo": (-0.026911864452308962, 1.2407483106528285),
+    "decoder.0.ln2.gain": (-0.017124843270856626, 0.04635682813405674),
+    "decoder.0.ln2.bias": (-0.013610635126645136, 0.05131041514593597),
+    "decoder.0.cross_attn.wq": (0.0, 0.38976938979068476),
+    "decoder.0.cross_attn.wk": (5.204170427930421e-18, 0.319607510784343),
+    "decoder.0.cross_attn.wv": (-4.336808689942018e-19, 0.8740253661094802),
+    "decoder.0.cross_attn.wo": (0.043301154197005705, 1.289418187722584),
+    "decoder.0.ln3.gain": (0.03727552429107753, 0.10944049589690172),
+    "decoder.0.ln3.bias": (-0.06400726056942681, 0.09352465027126657),
+    "decoder.0.ffn.w1": (-1.7780915628762273e-17, 1.2275494708967913),
+    "decoder.0.ffn.b1": (0.025757156111109666, 0.13737860772415333),
+    "decoder.0.ffn.w2": (0.039405435179228177, 1.170918981007012),
+    "decoder.0.ffn.b2": (0.014674125279276688, 0.16209331576339953),
+    "decoder.1.ln1.gain": (-0.046092954666410314, 0.15862870127589992),
+    "decoder.1.ln1.bias": (-0.17534756792837752, 0.22741043078600873),
+    "decoder.1.self_attn.wq": (-2.7376104855258987e-18, 0.18632045716438778),
+    "decoder.1.self_attn.wk": (1.0842021724855044e-18, 0.22066160751458214),
+    "decoder.1.self_attn.wv": (-8.673617379884035e-19, 1.0165248576895303),
+    "decoder.1.self_attn.wo": (-0.008008405367998468, 0.7371914518371151),
+    "decoder.1.ln2.gain": (0.0037416208633994697, 0.01674843807765227),
+    "decoder.1.ln2.bias": (0.0008269746593652094, 0.03026563208223834),
+    "decoder.1.cross_attn.wq": (-4.87890977618477e-19, 0.16037723665723233),
+    "decoder.1.cross_attn.wk": (-8.836247705756861e-18, 0.14078328589799718),
+    "decoder.1.cross_attn.wv": (1.1872013788716274e-17, 0.7246534605260203),
+    "decoder.1.cross_attn.wo": (0.015434183797421917, 0.6555431595000204),
+    "decoder.1.ln3.gain": (-0.04731137520778474, 0.10983265416642873),
+    "decoder.1.ln3.bias": (0.0002946238636442125, 0.08207667289403772),
+    "decoder.1.ffn.w1": (2.8406096919120216e-17, 1.2760241054865817),
+    "decoder.1.ffn.b1": (-0.0533566133635719, 0.17454379226587124),
+    "decoder.1.ffn.w2": (-0.0569350431509536, 1.763172110868177),
+    "decoder.1.ffn.b2": (0.005215697058377799, 0.20199380034190542),
+    "decoder.norm.gain": (0.29368014601499587, 0.45987427116929414),
+    "decoder.norm.bias": (0.15242882094465882, 0.37133731995805186),
+    "output.weight": (1.3877787807814457e-16, 6.8242026010446075),
+    "output.bias": (-1.3877787807814457e-17, 1.057015834050387),
+}
+
+
+def test_mixed_length_dropout_step_is_pinned():
+    cfg = M.ModelConfig(vocab_size=40, n_layers=2, n_heads=2, d_model=8, d_ff=16,
+                        dropout=0.25, max_src_len=32, max_tgt_len=16)
+    p = M.init_parameters(cfg, seed=11)
+    rng = np.random.default_rng(23)
+    batch = []
+    for s_len, t_len in [(3, 1), (11, 6), (1, 3), (7, 9), (5, 2)]:
+        src = [int(x) for x in rng.integers(4, 36, size=s_len)]
+        mid = [M.id_of_class(int(c)) for c in rng.integers(1, M.N_CLASSES, size=t_len)]
+        batch.append((src, [1] + mid + [2]))
+    value, grads = M.loss_and_gradients(p, cfg, batch, dropout_rng=np.random.default_rng(29))
+    assert abs(value - PINNED_LOSS) <= 1e-12 * PINNED_LOSS
+    assert grads.keys() == PINNED_GRADS.keys()
+    for path, (total, size) in PINNED_GRADS.items():
+        assert abs(np.abs(grads[path]).sum() - size) <= 1e-12 * size, path
+        assert abs(grads[path].sum() - total) <= 1e-12 * size, path
 
 
 def test_dropout_train_eval_mismatch(params):
