@@ -1,16 +1,17 @@
 """Checkpoint container: one JSON manifest line, then raw array bytes.
 
-The manifest holds ``format``, ``dtype``, ``config`` (the ``ModelConfig``
-fields), ``bpe`` (the ``vocab`` and ``merges`` of the tokenizer the model was
-trained with, which every checkpoint carries), ``tensors``
-(path/shape/byte-offset/nbytes entries in write order) and optional
-``extras``, where a float64 training resume file keeps its ``train_state``
-(the Adam step count and the epoch history) beside ``adam.*`` tensors, and
-``best.*`` ones once the history holds a finite dev loss, so a resumed run
-continues bit-exactly. A failed write leaves any earlier file as it was.
-A reader consumes exactly its file: a duplicate tensor path, bytes after the
-last tensor, a tensor beside the parameters of a checkpoint without extras
-and one that no group of a resume file claims are each a DataFormatError.
+The manifest holds exactly ``format``, ``dtype``, ``config`` (the
+``ModelConfig`` fields), ``bpe`` (the ``vocab`` and ``merges`` of the
+tokenizer the model was trained with) and ``tensors`` (path/shape/byte-offset/
+nbytes entries in write order): a model is its config, tokenizer and
+parameters. A float64 training resume file, which ``load_checkpoint`` refuses,
+adds ``extras.train_state`` (the Adam step count and the epoch history) beside
+``adam.*`` tensors, and ``best.*`` ones once the history holds a finite dev
+loss, so a resumed run continues bit-exactly. A failed write leaves any
+earlier file as it was. A reader consumes exactly its file: an unknown
+top-level key, a duplicate tensor path, bytes after the last tensor and a
+tensor that is neither a parameter nor claimed by a group of a resume file
+are each a DataFormatError.
 Each block is read by ``_typed`` against its dataclass fields: a missing block
 or key, an unknown key or a value of the wrong JSON type is a DataFormatError
 (exit 3) naming its path, such as ``manifest bpe`` or ``config.n_layers``, as
@@ -35,6 +36,7 @@ from .model import ModelConfig, param_shapes
 from .train import EpochStats, TrainState, best_epoch
 
 _MAGIC = "spellcap-checkpoint"
+_KEYS = {"format", "dtype", "config", "bpe", "tensors", "extras"}  # extras: resume files
 _DTYPES = {"float32": "<f4", "float64": "<f8"}
 
 
@@ -158,6 +160,8 @@ def _read(path):
         raise DataFormatError(f"unreadable manifest: {e}") from e
     if not isinstance(manifest, dict) or manifest.get("format") != _MAGIC:
         raise DataFormatError("not a spellcap checkpoint")
+    if unknown := sorted(manifest.keys() - _KEYS):
+        raise DataFormatError(f"manifest has unknown key {unknown[0]!r}")
     dtype_name = manifest.get("dtype")
     if not isinstance(dtype_name, str) or dtype_name not in _DTYPES:
         raise DataFormatError(f"unsupported dtype {dtype_name!r}")
@@ -182,34 +186,18 @@ def _read(path):
     return manifest, tensors
 
 
-def save_checkpoint(path, params, model_cfg: ModelConfig, bpe: BpeModel,
-                    dtype: str = "float32", extras: dict[str, dict] | None = None,
-                    extra_tensors: dict[str, np.ndarray] | None = None) -> None:
-    """Write parameters (canonical order first, extras after the core set)."""
-    if dtype not in _DTYPES:
-        raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
+def _model(params, model_cfg: ModelConfig, bpe: BpeModel):
+    """The manifest blocks and the parameters, in canonical order, of a model."""
     if missing := [p for p in param_shapes(model_cfg) if p not in params]:
         raise ValueError(f"missing parameter {missing[0]}")
-    ordered = {**{p: params[p] for p in param_shapes(model_cfg)}, **(extra_tensors or {})}
     manifest = {"config": asdict(model_cfg),
                 "bpe": {"vocab": bpe.vocab, "merges": bpe.merges}}
-    if extras:
-        manifest["extras"] = extras
-    _write(path, manifest, ordered, dtype)
+    return manifest, {p: params[p] for p in param_shapes(model_cfg)}
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    params: dict[str, np.ndarray]
-    config: ModelConfig
-    bpe: BpeModel
-    extras: dict[str, dict]
-    extra_tensors: dict[str, np.ndarray]
-    dtype: str
-
-
-def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint, checking every core tensor against its config shape."""
+def _parse(path):
+    """A checkpoint or resume file as (manifest, params, config, bpe, the other
+    tensors), every parameter checked against its config shape."""
     manifest, tensors = _read(path)
     config = _typed(ModelConfig, manifest.get("config"), "manifest config")
     params = {}
@@ -224,35 +212,61 @@ def load_checkpoint(path) -> Checkpoint:
         if not 0 <= i < config.vocab_size:
             raise DataFormatError(f"bpe token {tok!r} has id {i} outside "
                                   f"[0, vocab_size {config.vocab_size})")
-    extras = _value(dict[str, dict], manifest.get("extras", {}), "manifest extras")
-    if tensors and not extras:
+    return manifest, params, config, bpe, tensors
+
+
+def save_checkpoint(path, params, model_cfg: ModelConfig, bpe: BpeModel,
+                    dtype: str = "float32") -> None:
+    """Write the model: its config, tokenizer and parameters."""
+    if dtype not in _DTYPES:
+        raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
+    _write(path, *_model(params, model_cfg, bpe), dtype)
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    params: dict[str, np.ndarray]
+    config: ModelConfig
+    bpe: BpeModel
+    dtype: str
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Read a model checkpoint written by ``save_checkpoint``."""
+    manifest, params, config, bpe, tensors = _parse(path)
+    if "extras" in manifest:
+        raise DataFormatError("manifest extras: a training resume file, not a model checkpoint")
+    if tensors:
         raise DataFormatError(f"tensor {next(iter(tensors))} is not a parameter")
-    return Checkpoint(params, config, bpe, extras, tensors, manifest["dtype"])
+    return Checkpoint(params, config, bpe, manifest["dtype"])
 
 
 def save_train_state(path, params, model_cfg: ModelConfig, state: TrainState,
                      bpe: BpeModel) -> None:
     """Resume container: float64 params + Adam moments + best-dev snapshot."""
+    manifest, tensors = _model(params, model_cfg, bpe)
     groups = {"adam.m": state.adam_m, "adam.v": state.adam_v, "best": state.best_params or {}}
-    extra = {f"{g}.{k}": v for g, tensors in groups.items() for k, v in tensors.items()}
+    tensors.update({f"{g}.{k}": v for g, group in groups.items() for k, v in group.items()})
     meta = ResumeMeta(state.adam_t, tuple((h.epoch, h.train_loss, h.dev_loss)
                                           for h in state.history))
-    save_checkpoint(path, params, model_cfg, bpe=bpe, dtype="float64",
-                    extras={"train_state": asdict(meta)}, extra_tensors=extra)
+    _write(path, {**manifest, "extras": {"train_state": asdict(meta)}}, tensors, "float64")
 
 
 def load_train_state(path):
     """Returns (params, model_cfg, state, bpe); inverse of save_train_state."""
-    ck = load_checkpoint(path)
-    if "train_state" not in ck.extras or ck.dtype != "float64":
+    manifest, params, config, bpe, tensors = _parse(path)
+    if "extras" not in manifest or manifest["dtype"] != "float64":
         raise DataFormatError("not a training resume checkpoint")
-    meta = _typed(ResumeMeta, ck.extras["train_state"], "manifest extras.train_state")
-    shapes = param_shapes(ck.config)
+    extras = _value(dict[str, dict], manifest["extras"], "manifest extras")
+    if extras.keys() != {"train_state"}:
+        raise DataFormatError(f"manifest extras must hold train_state alone, got {sorted(extras)}")
+    meta = _typed(ResumeMeta, extras["train_state"], "manifest extras.train_state")
+    shapes = param_shapes(config)
 
     def collect(prefix):
         out = {}
         for p, shape in shapes.items():
-            arr = ck.extra_tensors.get(f"{prefix}.{p}")
+            arr = tensors.get(f"{prefix}.{p}")
             if arr is None or arr.shape != shape:
                 raise DataFormatError(f"missing or misshapen tensor {prefix}.{p}")
             out[p] = arr
@@ -261,8 +275,8 @@ def load_train_state(path):
     history = [EpochStats(*row) for row in meta.history]
     groups = ("adam.m", "adam.v") + (() if best_epoch(history) is None else ("best",))
     claimed = {f"{g}.{p}" for g in groups for p in shapes}
-    if stray := [t for t in ck.extra_tensors if t not in claimed]:
+    if stray := [t for t in tensors if t not in claimed]:
         raise DataFormatError(f"tensor {stray[0]} is not part of the resume state")
     best_params = collect("best") if "best" in groups else None
     state = TrainState(collect("adam.m"), collect("adam.v"), meta.adam_t, best_params, history)
-    return ck.params, ck.config, state, ck.bpe
+    return params, config, state, bpe

@@ -21,6 +21,9 @@ is gathered back to rows before ``wo``. When every position is valid (one
 utterance at inference), packing is a reshape and nothing is scattered.
 Dropout masks are drawn over the padded shape and then packed, so the random
 stream does not depend on the padding.
+
+Decoding runs the same layer loop, ``_stack_f``, on one new position per
+hypothesis over a key/value cache (``decoder_cache``) that each step extends.
 """
 
 import math
@@ -209,9 +212,12 @@ def _layer_norm_b(dy, cache, grads):
     )
 
 
-def _split_heads(x, n_heads):
-    b, t, d = x.shape
-    return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+def _heads(x, w, rows, n_heads):
+    """``x @ w`` for the rows ``x`` laid out by ``rows``, padded and split
+    into heads [B, H, L, D/H]."""
+    y = _unpack(x @ w, rows)
+    b, t, d = y.shape
+    return y.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x):
@@ -240,13 +246,19 @@ def _attend(q, k, v, mask):
     return weights, _merge_heads(weights @ v), scale
 
 
-def _attention_f(xq, xkv, p, prefix, n_heads, q_rows, kv_rows):
+def _attention_f(xq, xkv, p, prefix, n_heads, q_rows, kv_rows, past=None):
     """Multi-head attention of the rows ``xq`` (laid out by ``q_rows``) over
-    the rows ``xkv`` (laid out by ``kv_rows``, whose ``keys`` mask applies)."""
+    the rows ``xkv`` (laid out by ``kv_rows``, whose ``keys`` mask applies),
+    appended to ``past``, the head-split keys and values of earlier calls, if
+    given; with ``xkv`` None, ``past`` alone are the keys and values."""
     wq, wk, wv, wo = (p[f"{prefix}.{w}"] for w in ("wq", "wk", "wv", "wo"))
-    q = _split_heads(_unpack(xq @ wq, q_rows), n_heads)
-    k = _split_heads(_unpack(xkv @ wk, kv_rows), n_heads)
-    v = _split_heads(_unpack(xkv @ wv, kv_rows), n_heads)
+    q = _heads(xq, wq, q_rows, n_heads)
+    if xkv is None:
+        k, v = past
+    else:
+        k, v = _heads(xkv, wk, kv_rows, n_heads), _heads(xkv, wv, kv_rows, n_heads)
+        if past is not None:
+            k, v = np.concatenate([past[0], k], 2), np.concatenate([past[1], v], 2)
     weights, ctx, scale = _attend(q, k, v, kv_rows.keys)
     ctx = _pack(ctx, q_rows)
     return ctx @ wo, AttentionCache(xq, xkv, q, k, v, weights, ctx, scale, q_rows, kv_rows)
@@ -258,7 +270,7 @@ def _attention_b(dy, cache, p, prefix, grads):
     n_heads = q.shape[1]
 
     grads[f"{prefix}.wo"] += _weight_grad(ctx, dy)
-    dctx = _split_heads(_unpack(dy @ wo.T, q_rows), n_heads)
+    dctx = _heads(dy, wo.T, q_rows, n_heads)
     dw = dctx @ v.swapaxes(-1, -2)
     dv = weights.swapaxes(-1, -2) @ dctx
     # softmax rows: masked entries carry weight exactly 0, so ds vanishes there
@@ -325,11 +337,13 @@ def _embed_b(dx, cache, grads):
 Sublayer = namedtuple("Sublayer", "kind prefix ln f drop")
 
 
-def _stack_f(x, p, cfg, stack, rng, rows, memory=None, memory_rows=None):
+def _stack_f(x, p, cfg, stack, rng, rows, memory=None, memory_rows=None, cache=None):
     """Every layer of ``stack`` over the rows ``x`` laid out by ``rows`` (see
     ``LAYERS``), then the stack's final layer norm; "cross" sublayers attend
-    over the rows ``memory`` laid out by ``memory_rows``. Returns (output
-    rows, sublayer caches in order, final-norm cache)."""
+    over the rows ``memory`` laid out by ``memory_rows``. With a ``cache``
+    (see ``decoder_cache``), each attention runs over its entry, as
+    ``_attention_f``'s ``past`` with ``memory`` None, and writes its full K/V
+    back. Returns (output rows, sublayer caches in order, final-norm cache)."""
     caches = []
     for i in range(cfg.n_layers):
         for kind, ln, body in LAYERS[stack]:
@@ -337,10 +351,12 @@ def _stack_f(x, p, cfg, stack, rng, rows, memory=None, memory_rows=None):
             prefix = f"{stack}.{i}.{body}"
             if kind == "ffn":
                 y, c_f = _ffn_f(a, p, prefix)
-            elif kind == "self":
-                y, c_f = _attention_f(a, a, p, prefix, cfg.n_heads, rows, rows)
             else:
-                y, c_f = _attention_f(a, memory, p, prefix, cfg.n_heads, rows, memory_rows)
+                xkv, kv_rows = (a, rows) if kind == "self" else (memory, memory_rows)
+                past = None if cache is None else cache[i][kind]
+                y, c_f = _attention_f(a, xkv, p, prefix, cfg.n_heads, rows, kv_rows, past)
+                if cache is not None:
+                    cache[i][kind] = c_f.k, c_f.v
             y, drop = _dropout_f(y, cfg.dropout, rng, rows)
             x = x + y
             caches.append(Sublayer(kind, prefix, c_ln, c_f, drop))
@@ -513,61 +529,37 @@ def encode(p, cfg: ModelConfig, src_ids) -> np.ndarray:
     return _encode_f(p, cfg, arr, Layout(None, arr.shape, None), None)[0]
 
 
-# One decoder layer's keys and values, split into heads [rows, H, len, dh].
-# Rows are hypotheses of one utterance. The self-attention entries cover the
-# target positions decoded so far; the cross-attention entries cover the
-# encoder memory and have a single row that every hypothesis shares.
-LayerKV = namedtuple("LayerKV", "self_k self_v cross_k cross_v")
-
-
-def decoder_cache(p, cfg: ModelConfig, memory) -> list[LayerKV]:
-    """A one-row cache holding no target position yet, for ``memory``
-    [len(src), d_model]; the cross-attention K/V are projected here, once."""
-    mem = np.asarray(memory, dtype=np.float64)[None]
+def decoder_cache(p, cfg: ModelConfig, memory) -> list[dict]:
+    """A one-row cache for ``memory`` [len(src), d_model]: per decoder layer,
+    the head-split (keys, values) [rows, H, len, D/H] of its "self" attention,
+    empty here, and of its "cross" attention, projected here once. Rows are
+    hypotheses of one utterance; the single cross row is shared by all."""
+    mem_rows = Layout(None, (1, len(memory)), None)
     empty = np.zeros((1, cfg.n_heads, 0, cfg.d_model // cfg.n_heads))
-    cache = []
-    for i in range(cfg.n_layers):
-        prefix = f"decoder.{i}.cross_attn"
-        cache.append(LayerKV(
-            empty, empty,
-            _split_heads(mem @ p[f"{prefix}.wk"], cfg.n_heads),
-            _split_heads(mem @ p[f"{prefix}.wv"], cfg.n_heads),
-        ))
-    return cache
+    return [{"self": (empty, empty),
+             "cross": tuple(_heads(memory, p[f"decoder.{i}.cross_attn.{w}"], mem_rows,
+                                   cfg.n_heads) for w in ("wk", "wv"))}
+            for i in range(cfg.n_layers)]
 
 
-def reindex_cache(cache: list[LayerKV], rows) -> None:
+def reindex_cache(cache: list[dict], rows) -> None:
     """Keep, in place, the self-attention rows ``rows`` (in that order; a row
     may repeat), e.g. the parent of every hypothesis that survived a search
     step."""
-    cache[:] = [kv._replace(self_k=kv.self_k[rows], self_v=kv.self_v[rows])
-                for kv in cache]
+    for layer in cache:
+        layer["self"] = tuple(kv[rows] for kv in layer["self"])
 
 
 def decoder_forward(p, cfg: ModelConfig, cache, tokens) -> np.ndarray:
     """Next-character logits [rows, n_classes] for ``tokens``, the next token
-    of every row of ``cache`` (from ``decoder_cache``). Computes only that one
-    new position and appends its self-attention K/V to ``cache`` in place."""
+    of every row of ``cache`` (from ``decoder_cache``). Runs the training
+    layer loop on that one new position per row, every cached key
+    attendable, and appends its self-attention K/V to ``cache`` in place."""
     ids = np.asarray(tokens, dtype=np.int64)[:, None]
-    y = _embed_f(p, cfg, ids, Layout(None, ids.shape, None), None,
-                 cache[0].self_k.shape[2])[0][:, None]
-    for i, kv in enumerate(cache):
-        prefix = f"decoder.{i}"
-        a, _ = _layer_norm_f(y, p, f"{prefix}.ln1")
-        sa = f"{prefix}.self_attn"
-        q = _split_heads(a @ p[f"{sa}.wq"], cfg.n_heads)
-        k = np.concatenate([kv.self_k, _split_heads(a @ p[f"{sa}.wk"], cfg.n_heads)], 2)
-        v = np.concatenate([kv.self_v, _split_heads(a @ p[f"{sa}.wv"], cfg.n_heads)], 2)
-        cache[i] = kv._replace(self_k=k, self_v=v)
-        y = y + _attend(q, k, v, None)[1] @ p[f"{sa}.wo"]
-        c, _ = _layer_norm_f(y, p, f"{prefix}.ln2")
-        ca = f"{prefix}.cross_attn"
-        q = _split_heads(c @ p[f"{ca}.wq"], cfg.n_heads)
-        y = y + _attend(q, kv.cross_k, kv.cross_v, None)[1] @ p[f"{ca}.wo"]
-        f, _ = _layer_norm_f(y, p, f"{prefix}.ln3")
-        y = y + _ffn_f(f, p, f"{prefix}.ffn")[0]
-    yn, _ = _layer_norm_f(y, p, "decoder.norm")
-    return (yn @ p["output.weight"] + p["output.bias"])[:, 0]
+    rows = Layout(None, ids.shape, None)
+    x = _embed_f(p, cfg, ids, rows, None, cache[0]["self"][0].shape[2])[0]
+    yn = _stack_f(x, p, cfg, "decoder", None, rows, memory_rows=rows, cache=cache)[0]
+    return yn @ p["output.weight"] + p["output.bias"]
 
 
 def forward_details(p, cfg: ModelConfig, src_ids, tgt_ids):

@@ -172,6 +172,14 @@ def _overflowing_shape(m):
     m["tensors"][0].update(shape=[2**32, 2**32], nbytes=0)  # 2**64 elements
 
 
+def _unknown_top_level_key(m):
+    m["foo"] = {}
+
+
+def _extras_in_checkpoint(m):
+    m["extras"] = {"anything": {}}
+
+
 def _rewrite_manifest(path, corrupt):
     blob = path.read_bytes()
     nl = blob.find(b"\n")
@@ -195,10 +203,13 @@ def _rewrite_manifest(path, corrupt):
     (_set_config("vocab_size", 40.0), r"config\.vocab_size must be int"),
     (_negative_shape, "negative shape"),
     (_overflowing_shape, "nbytes/shape mismatch"),
+    (_unknown_top_level_key, "manifest has unknown key 'foo'"),
+    (_extras_in_checkpoint, "a training resume file, not a model checkpoint"),
 ], ids=["no_tensors", "no_config", "unknown_config_key", "string_shape",
         "bpe_without_merges", "no_bpe", "bpe_not_object", "bpe_id_beyond_vocab",
         "fractional_n_layers", "float_d_model", "bool_n_heads", "float_vocab_size",
-        "negative_shape", "overflowing_shape"])
+        "negative_shape", "overflowing_shape", "unknown_top_level_key",
+        "extras_in_checkpoint"])
 def test_malformed_manifest_rejected(tmp_path, params, corrupt, match):
     path = tmp_path / "m.ckpt"
     save_checkpoint(str(path), params, CFG, BPE)
@@ -231,6 +242,10 @@ def _renumbered_history(m):
     m["extras"]["train_state"]["history"][1][0] = 2
 
 
+def _second_extras_block(m):
+    m["extras"]["anything"] = {}
+
+
 def _drop_best_snapshot(m):
     m["tensors"] = [e for e in m["tensors"] if not e["path"].startswith("best.")]
 
@@ -243,8 +258,10 @@ def _drop_best_snapshot(m):
     (_stored_next_epoch, "unknown key 'next_epoch'"),
     (_renumbered_history, "history epochs 0, 1, 2"),
     (_drop_best_snapshot, "tensor best."),
+    (_second_extras_block, r"extras must hold train_state alone, got \['anything'"),
 ], ids=["no_history", "state_as_list", "extras_as_string", "short_history_row",
-        "stored_next_epoch", "renumbered_history", "no_best_snapshot"])
+        "stored_next_epoch", "renumbered_history", "no_best_snapshot",
+        "second_extras_block"])
 def test_malformed_resume_state_rejected(tmp_path, params, corrupt, match):
     state = TrainState.fresh(params)
     state.history += [EpochStats(0, 1.5, 2.5), EpochStats(1, 1.4, 2.6)]
@@ -370,7 +387,8 @@ def _stray_entry(path):
 @pytest.mark.parametrize("corrupt, match", [
     (_duplicate_entry, "tensor embedding: duplicate path"),
     (None, "8 bytes after the last tensor"),
-], ids=["duplicate_path", "trailing_bytes"])
+    (_unknown_top_level_key, "manifest has unknown key 'foo'"),
+], ids=["duplicate_path", "trailing_bytes", "unknown_top_level_key"])
 def test_reader_consumes_exactly_its_file(tmp_path, params, resume, corrupt, match):
     path = tmp_path / "m.ckpt"
     if resume:

@@ -435,6 +435,13 @@ def test_predict_shape_mismatch_exits_2(pipeline, tmp_path, capsys):
     assert code == 2 and "shape" in err
 
 
+def test_predict_refuses_a_resume_file(pipeline, tmp_path, capsys):
+    code, _, err = run(capsys, "predict", "--checkpoint", str(pipeline["ckpt"]) + ".resume",
+                       "--input", str(pipeline["dev"]),
+                       "--out", str(tmp_path / "x.tsv"))
+    assert code == 3 and "a training resume file, not a model checkpoint" in err
+
+
 def test_predict_corrupt_checkpoint_exits_3(pipeline, tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"not a checkpoint at all\n")
