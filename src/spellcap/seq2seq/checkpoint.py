@@ -215,12 +215,9 @@ def _parse(path):
     return manifest, params, config, bpe, tensors
 
 
-def save_checkpoint(path, params, model_cfg: ModelConfig, bpe: BpeModel,
-                    dtype: str = "float32") -> None:
-    """Write the model: its config, tokenizer and parameters."""
-    if dtype not in _DTYPES:
-        raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
-    _write(path, *_model(params, model_cfg, bpe), dtype)
+def save_checkpoint(path, params, model_cfg: ModelConfig, bpe: BpeModel) -> None:
+    """Write the model, in float32: its config, tokenizer and parameters."""
+    _write(path, *_model(params, model_cfg, bpe), "float32")
 
 
 @dataclass(frozen=True)
@@ -228,7 +225,6 @@ class Checkpoint:
     params: dict[str, np.ndarray]
     config: ModelConfig
     bpe: BpeModel
-    dtype: str
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -238,7 +234,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise DataFormatError("manifest extras: a training resume file, not a model checkpoint")
     if tensors:
         raise DataFormatError(f"tensor {next(iter(tensors))} is not a parameter")
-    return Checkpoint(params, config, bpe, manifest["dtype"])
+    return Checkpoint(params, config, bpe)
 
 
 def save_train_state(path, params, model_cfg: ModelConfig, state: TrainState,

@@ -215,9 +215,8 @@ def _layer_norm_b(dy, cache, grads):
 def _heads(x, w, rows, n_heads):
     """``x @ w`` for the rows ``x`` laid out by ``rows``, padded and split
     into heads [B, H, L, D/H]."""
-    y = _unpack(x @ w, rows)
-    b, t, d = y.shape
-    return y.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+    y = x @ w
+    return _unpack(y.reshape(len(y), n_heads, -1), rows).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x):
@@ -251,17 +250,17 @@ def _attention_f(xq, xkv, p, prefix, n_heads, q_rows, kv_rows, past=None):
     the rows ``xkv`` (laid out by ``kv_rows``, whose ``keys`` mask applies),
     appended to ``past``, the head-split keys and values of earlier calls, if
     given; with ``xkv`` None, ``past`` alone are the keys and values."""
-    wq, wk, wv, wo = (p[f"{prefix}.{w}"] for w in ("wq", "wk", "wv", "wo"))
-    q = _heads(xq, wq, q_rows, n_heads)
+    q = _heads(xq, p[prefix + ".wq"], q_rows, n_heads)
     if xkv is None:
         k, v = past
     else:
-        k, v = _heads(xkv, wk, kv_rows, n_heads), _heads(xkv, wv, kv_rows, n_heads)
+        k = _heads(xkv, p[prefix + ".wk"], kv_rows, n_heads)
+        v = _heads(xkv, p[prefix + ".wv"], kv_rows, n_heads)
         if past is not None:
             k, v = np.concatenate([past[0], k], 2), np.concatenate([past[1], v], 2)
     weights, ctx, scale = _attend(q, k, v, kv_rows.keys)
     ctx = _pack(ctx, q_rows)
-    return ctx @ wo, AttentionCache(xq, xkv, q, k, v, weights, ctx, scale, q_rows, kv_rows)
+    return ctx @ p[prefix + ".wo"], AttentionCache(xq, xkv, q, k, v, weights, ctx, scale, q_rows, kv_rows)
 
 
 def _attention_b(dy, cache, p, prefix, grads):
@@ -342,8 +341,10 @@ def _stack_f(x, p, cfg, stack, rng, rows, memory=None, memory_rows=None, cache=N
     ``LAYERS``), then the stack's final layer norm; "cross" sublayers attend
     over the rows ``memory`` laid out by ``memory_rows``. With a ``cache``
     (see ``decoder_cache``), each attention runs over its entry, as
-    ``_attention_f``'s ``past`` with ``memory`` None, and writes its full K/V
-    back. Returns (output rows, sublayer caches in order, final-norm cache)."""
+    ``_attention_f``'s ``past``, and writes its full K/V back; ``memory`` is
+    then None, ``memory_rows`` lays out the cached "cross" K/V, the projected
+    memory, and no sublayer cache is kept. Returns (output rows, sublayer
+    caches in order, final-norm cache)."""
     caches = []
     for i in range(cfg.n_layers):
         for kind, ln, body in LAYERS[stack]:
@@ -359,7 +360,8 @@ def _stack_f(x, p, cfg, stack, rng, rows, memory=None, memory_rows=None, cache=N
                     cache[i][kind] = c_f.k, c_f.v
             y, drop = _dropout_f(y, cfg.dropout, rng, rows)
             x = x + y
-            caches.append(Sublayer(kind, prefix, c_ln, c_f, drop))
+            if cache is None:
+                caches.append(Sublayer(kind, prefix, c_ln, c_f, drop))
     out, c_norm = _layer_norm_f(x, p, f"{stack}.norm")
     return out, caches, c_norm
 
@@ -558,7 +560,8 @@ def decoder_forward(p, cfg: ModelConfig, cache, tokens) -> np.ndarray:
     ids = np.asarray(tokens, dtype=np.int64)[:, None]
     rows = Layout(None, ids.shape, None)
     x = _embed_f(p, cfg, ids, rows, None, cache[0]["self"][0].shape[2])[0]
-    yn = _stack_f(x, p, cfg, "decoder", None, rows, memory_rows=rows, cache=cache)[0]
+    mem_rows = Layout(None, (1, cache[0]["cross"][0].shape[2]), None)  # as decoder_cache
+    yn = _stack_f(x, p, cfg, "decoder", None, rows, memory_rows=mem_rows, cache=cache)[0]
     return yn @ p["output.weight"] + p["output.bias"]
 
 

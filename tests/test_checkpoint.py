@@ -39,7 +39,7 @@ def test_roundtrip_float32_default(tmp_path, params):
     path = str(tmp_path / "m.ckpt")
     save_checkpoint(path, params, CFG, BPE)
     ck = load_checkpoint(path)
-    assert ck.dtype == "float32"
+    assert json.loads((tmp_path / "m.ckpt").read_bytes().partition(b"\n")[0])["dtype"] == "float32"
     assert ck.config == CFG
     for k, v in params.items():
         assert ck.params[k].dtype == np.float64
@@ -72,11 +72,11 @@ def test_predictions_identical_after_two_load_cycles(tmp_path, params):
 
 
 def test_float64_roundtrip_exact(tmp_path, params):
-    path = str(tmp_path / "m64.ckpt")
-    save_checkpoint(path, params, CFG, BPE, dtype="float64")
-    ck = load_checkpoint(path)
+    path = str(tmp_path / "m.ckpt.resume")
+    save_train_state(path, params, CFG, TrainState.fresh(params), BPE)
+    loaded = load_train_state(path)[0]
     for k, v in params.items():
-        np.testing.assert_array_equal(ck.params[k], v)
+        np.testing.assert_array_equal(loaded[k], v)
 
 
 def test_bpe_model_travels_in_manifest(tmp_path, params):
@@ -259,9 +259,10 @@ def _drop_best_snapshot(m):
     (_renumbered_history, "history epochs 0, 1, 2"),
     (_drop_best_snapshot, "tensor best."),
     (_second_extras_block, r"extras must hold train_state alone, got \['anything'"),
+    (_unknown_top_level_key, "manifest has unknown key 'foo'"),
 ], ids=["no_history", "state_as_list", "extras_as_string", "short_history_row",
         "stored_next_epoch", "renumbered_history", "no_best_snapshot",
-        "second_extras_block"])
+        "second_extras_block", "unknown_top_level_key"])
 def test_malformed_resume_state_rejected(tmp_path, params, corrupt, match):
     state = TrainState.fresh(params)
     state.history += [EpochStats(0, 1.5, 2.5), EpochStats(1, 1.4, 2.6)]
@@ -387,8 +388,7 @@ def _stray_entry(path):
 @pytest.mark.parametrize("corrupt, match", [
     (_duplicate_entry, "tensor embedding: duplicate path"),
     (None, "8 bytes after the last tensor"),
-    (_unknown_top_level_key, "manifest has unknown key 'foo'"),
-], ids=["duplicate_path", "trailing_bytes", "unknown_top_level_key"])
+], ids=["duplicate_path", "trailing_bytes"])
 def test_reader_consumes_exactly_its_file(tmp_path, params, resume, corrupt, match):
     path = tmp_path / "m.ckpt"
     if resume:

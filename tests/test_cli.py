@@ -231,7 +231,7 @@ def test_train_writes_checkpoint_resume_and_history(pipeline):
 def test_checkpoint_carries_tokenizer(pipeline):
     ck = load_checkpoint(pipeline["ckpt"])
     assert ck.bpe is not None
-    assert ck.dtype == "float32"
+    assert json.loads(pipeline["ckpt"].read_bytes().partition(b"\n")[0])["dtype"] == "float32"
 
 
 def test_resume_matches_straight_training(pipeline, capsys):
