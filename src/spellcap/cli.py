@@ -60,12 +60,13 @@ def read_config(path, cls, skip=(), **extra) -> dict:
 
     The keys and their types are the fields of ``cls`` less ``skip``, plus
     ``extra`` (name=type). Blank lines and #-comments are skipped; tuple
-    values are comma-separated. No path reads as an empty file.
+    values are comma-separated; a key set twice is an error. No path reads as
+    an empty file.
     """
     if not path:
         return {}
     types = {f.name: f.type for f in fields(cls) if f.name not in skip} | extra
-    kwargs = {}
+    kwargs, key_lines = {}, {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -78,20 +79,27 @@ def read_config(path, cls, skip=(), **extra) -> dict:
             if key not in types:
                 raise ConfigError(f"{path} line {line_no}: unknown "
                                   f"{cls.__name__} key {key!r}")
+            if key in key_lines:
+                raise ConfigError(f"{path} line {line_no}: key {key!r} already set "
+                                  f"on line {key_lines[key]}")
+            key_lines[key] = line_no
             kwargs[key] = _parse(types[key], key, value)
     return kwargs
 
 
 def _resolve_seed(flag, file_value=None) -> int:
-    """flag > config file > SPELLCAP_SEED > 0."""
-    for value in (flag, file_value):
-        if value is not None:
-            return value
-    raw = os.environ.get("SPELLCAP_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"SPELLCAP_SEED must be an integer, got {raw!r}") from None
+    """flag > config file > SPELLCAP_SEED > 0; a seed is a non-negative integer."""
+    for where, value in (("--seed", flag), ("--train-config seed", file_value),
+                         ("SPELLCAP_SEED", os.environ.get("SPELLCAP_SEED", "0"))):
+        if value is None:
+            continue
+        try:
+            seed = int(value)
+        except ValueError:
+            raise ConfigError(f"{where} must be an integer, got {value!r}") from None
+        if seed < 0:
+            raise ConfigError(f"{where} must be non-negative, got {seed}")
+        return seed
 
 
 # ----------------------------------------------------------- subcommands
@@ -153,11 +161,8 @@ def cmd_train(args) -> int:
     else:
         model_kwargs = read_config(args.model_config, ModelConfig,
                                    skip=("vocab_size",), n_merges=int)
-        n_merges = model_kwargs.pop("n_merges", 1000)
-        if n_merges < 0:
-            raise ConfigError(f"n_merges must be >= 0, got {n_merges}")
         texts = [s.nbest[0].text() for s in samples]
-        bpe = learn_bpe(texts, n_merges)
+        bpe = learn_bpe(texts, model_kwargs.pop("n_merges", 1000))
         model_cfg = ModelConfig(vocab_size=len(bpe.vocab), **model_kwargs)
         params = init_parameters(model_cfg, seed=train_cfg.seed)
         state = None

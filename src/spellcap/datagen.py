@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baseline import AsrHypothesis, AsrToken
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, check_fields, rule
 
 SPELL_ONLY = "SPELL_ONLY"
 NAME_THEN_SPELL = "NAME_THEN_SPELL"
@@ -69,38 +69,23 @@ _NAME_RE = re.compile(r"^[a-z'-]+$")
 class NoiseConfig:
     """Channel knobs; the all-defaults config is the identity channel."""
 
-    letter_sub_prob: float = 0.0
+    letter_sub_prob: float = rule("in [0, 1]", 0.0)
     confusion_sets: tuple = DEFAULT_CONFUSION_SETS
-    filler_prob: float = 0.0
-    nato_prob: float = 0.0
-    nato_variant_prob: float = 0.25
-    fullname_prob: float = 0.0
-    name_drop_prob: float = 0.0
-    conf_clean: float = 0.9
-    conf_noisy: float = 0.5
-    jitter: float = 0.0
-    label_error_prob: float = 0.0
-    nbest_size: int = 1
-    pattern_weights: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0, 1.0)
+    filler_prob: float = rule("in [0, 1]", 0.0)
+    nato_prob: float = rule("in [0, 1]", 0.0)
+    nato_variant_prob: float = rule("in [0, 1]", 0.25)
+    fullname_prob: float = rule("in [0, 1]", 0.0)
+    name_drop_prob: float = rule("in [0, 1]", 0.0)
+    conf_clean: float = rule("in (0, 1]", 0.9)
+    conf_noisy: float = rule("in (0, 1]", 0.5)
+    jitter: float = rule("in [0, 0.5]", 0.0)
+    label_error_prob: float = rule("in [0, 1]", 0.0)
+    nbest_size: int = rule("1..3", 1)
+    pattern_weights: tuple[float, ...] = rule("finite and non-negative",
+                                              (1.0, 1.0, 1.0, 1.0, 1.0))
 
     def __post_init__(self):
-        probs = {
-            "letter_sub_prob": self.letter_sub_prob,
-            "filler_prob": self.filler_prob,
-            "nato_prob": self.nato_prob,
-            "nato_variant_prob": self.nato_variant_prob,
-            "fullname_prob": self.fullname_prob,
-            "name_drop_prob": self.name_drop_prob,
-            "label_error_prob": self.label_error_prob,
-        }
-        for key, v in probs.items():
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{key} must be in [0, 1], got {v}")
-        for key, v in (("conf_clean", self.conf_clean), ("conf_noisy", self.conf_noisy)):
-            if not 0.0 < v <= 1.0:
-                raise ConfigError(f"{key} must be in (0, 1], got {v}")
-        if not 0.0 <= self.jitter <= 0.5:
-            raise ConfigError(f"jitter must be in [0, 0.5], got {self.jitter}")
+        check_fields(self)
         object.__setattr__(self, "confusion_sets",
                            tuple(tuple(s) for s in self.confusion_sets))
         for s in self.confusion_sets:
@@ -109,14 +94,10 @@ class NoiseConfig:
             for c in s:
                 if not ("a" <= c <= "z" and len(c) == 1):
                     raise ConfigError(f"confusion sets hold single letters, got {c!r}")
-        if not 1 <= self.nbest_size <= 3:
-            raise ConfigError(f"nbest_size must be 1..3, got {self.nbest_size}")
         w = tuple(float(x) for x in self.pattern_weights)
-        if len(w) != len(PATTERNS):
-            raise ConfigError(f"pattern_weights needs {len(PATTERNS)} entries, got {len(w)}")
-        if not all(0 <= x < math.inf for x in w) or sum(w) <= 0:
-            raise ConfigError("pattern_weights must be finite and non-negative "
-                              "with a positive sum")
+        if len(w) != len(PATTERNS) or sum(w) <= 0:
+            raise ConfigError(f"pattern_weights needs {len(PATTERNS)} entries with a "
+                              f"positive sum, got {w}")
         object.__setattr__(self, "pattern_weights", w)
 
 

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_fields, rule
 from ..tokenizer import BOS_ID, EOS_ID, PAD_ID, target_alphabet
 
 N_CLASSES = len(target_alphabet())
@@ -41,26 +41,21 @@ N_CLASSES = len(target_alphabet())
 
 @dataclass(frozen=True)
 class ModelConfig:
-    vocab_size: int
-    n_layers: int = 2
-    n_heads: int = 2
-    d_model: int = 64
-    d_ff: int = 256
-    dropout: float = 0.1
-    max_src_len: int = 160
-    max_tgt_len: int = 48
+    vocab_size: int = rule("positive")
+    n_layers: int = rule("positive", 2)
+    n_heads: int = rule("positive", 2)
+    d_model: int = rule("positive", 64)
+    d_ff: int = rule("positive", 256)
+    dropout: float = rule("in [0, 1)", 0.1)
+    max_src_len: int = rule("positive", 160)
+    max_tgt_len: int = rule("positive", 48)
 
     def __post_init__(self):
-        for field in ("vocab_size", "n_layers", "n_heads", "d_model", "d_ff",
-                      "max_src_len", "max_tgt_len"):
-            if getattr(self, field) <= 0:
-                raise ConfigError(f"{field} must be positive")
+        check_fields(self)
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
         if self.vocab_size < 33:
             raise ConfigError("vocab_size smaller than the base vocabulary")
 

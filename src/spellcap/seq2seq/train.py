@@ -12,32 +12,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, NumericError
+from ..errors import NumericError, check_fields, rule
 from ..tokenizer import char_encode
 from .model import ModelConfig, loss_and_gradients, loss_from_logits, pack_batch, _forward
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    batch_size: int = 32
-    learning_rate: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    epochs: int = 10
-    seed: int = 0
-    patience: int | None = None
+    batch_size: int = rule("positive", 32)
+    learning_rate: float = rule("finite and positive", 1e-5)
+    beta1: float = rule("in [0, 1)", 0.9)
+    beta2: float = rule("in [0, 1)", 0.999)
+    eps: float = rule("finite and positive", 1e-8)
+    epochs: int = rule("non-negative", 10)
+    seed: int = rule("non-negative", 0)
+    patience: int | None = rule("positive", None)
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        for key in ("learning_rate", "eps"):
-            if not 0 < getattr(self, key) < math.inf:
-                raise ConfigError(f"{key} must be finite and positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("betas must lie in [0, 1)")
-        if self.patience is not None and self.patience < 1:
-            raise ConfigError("patience must be >= 1 when set")
+        check_fields(self)
 
 
 @dataclass

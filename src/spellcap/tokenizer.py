@@ -93,7 +93,7 @@ def learn_bpe(corpus: list[str], n_merges: int) -> BpeModel:
     corpus with no words.
     """
     if n_merges < 0:
-        raise ValueError("n_merges must be >= 0")
+        raise ValueError(f"n_merges must be non-negative, got {n_merges}")
     word_freq = Counter()
     for line in corpus:
         word_freq.update(line.split())

@@ -95,10 +95,14 @@ def test_generate_unknown_noise_key_is_config_error(tmp_path, capsys):
 
 def test_generate_malformed_noise_line_is_config_error(tmp_path, capsys):
     noise = tmp_path / "n.txt"
-    noise.write_text("# comment\nletter_sub_prob 0.2\n")
-    code, _, err = run(capsys, "generate", "--n", "5", "--noise", str(noise),
-                       "--out", str(tmp_path / "x"))
-    assert code == 2 and "line 2" in err
+    for text, named in (("# comment\nletter_sub_prob 0.2\n", "line 2"),
+                        ("nato_prob=0.3\n\nnato_prob=0.5\n",
+                         "line 3: key 'nato_prob' already set on line 1")):
+        noise.write_text(text)
+        code, _, err = run(capsys, "generate", "--n", "5", "--noise", str(noise),
+                           "--out", str(tmp_path / "x"))
+        assert code == 2 and named in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("line, key", [
@@ -186,6 +190,25 @@ def test_bad_seed_env_var_is_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SPELLCAP_SEED", "not-a-number")
     code, _, err = run(capsys, "generate", "--n", "5", "--out", str(tmp_path / "x"))
     assert code == 2 and "SPELLCAP_SEED" in err
+    # a negative seed is refused up front, naming where it came from
+    monkeypatch.delenv("SPELLCAP_SEED")
+    data, train_cfg = tmp_path / "d.txt", tmp_path / "t.cfg"
+    assert run(capsys, "generate", "--n", "5", "--out", str(data))[0] == 0
+    train_cfg.write_text("seed=-2\n")
+    train = ("train", "--train", str(data), "--out", str(tmp_path / "m.ckpt"))
+    for env, argv, named in (
+        ("-1", ("generate", "--n", "5", "--out", str(tmp_path / "x")), "SPELLCAP_SEED"),
+        ("-1", train, "SPELLCAP_SEED"),
+        (None, ("generate", "--n", "5", "--seed", "-3", "--out", str(tmp_path / "x")),
+         "--seed"),
+        (None, train + ("--train-config", str(train_cfg)), "--train-config seed"),
+    ):
+        if env is not None:
+            monkeypatch.setenv("SPELLCAP_SEED", env)
+        code, _, err = run(capsys, *argv)
+        monkeypatch.delenv("SPELLCAP_SEED", raising=False)
+        assert code == 2 and f"{named} must be non-negative" in err
+    assert not (tmp_path / "x").exists() and not (tmp_path / "m.ckpt").exists()
 
 
 # ----------------------------------------------------------- train + predict
@@ -284,6 +307,14 @@ def test_model_config_rejects_vocab_size(pipeline, tmp_path, capsys):
                        "--out", str(tmp_path / "x.ckpt"),
                        "--model-config", str(bad))
     assert code == 2 and "line 2" in err and "'vocab_size'" in err
+
+
+def test_negative_n_merges_exits_2(pipeline, tmp_path, capsys):
+    bad = tmp_path / "model.txt"
+    bad.write_text("n_merges=-1\n")
+    code, _, err = run(capsys, "train", "--train", str(pipeline["train"]),
+                       "--out", str(tmp_path / "x.ckpt"), "--model-config", str(bad))
+    assert code == 2 and "n_merges must be non-negative, got -1" in err
 
 
 def test_predict_on_dataset_file(pipeline, capsys):
