@@ -12,6 +12,7 @@ format error, 4 numeric failure during training.
 import argparse
 import os
 import sys
+import time
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -193,7 +194,7 @@ def _read_input_lines(spec_path) -> list:
 
 
 def cmd_predict(args) -> int:
-    from .seq2seq import load_checkpoint, predict_name
+    from .seq2seq import load_checkpoint, predict_names, source_ids
 
     ck = load_checkpoint(args.checkpoint)
     if args.beam_width < 1:
@@ -210,17 +211,21 @@ def cmd_predict(args) -> int:
         items = [(no, l.lower(), "-") for no, l in numbered]
     if not items:
         raise DataFormatError(f"input {args.input}: no utterances to predict")
-    results = []
-    for line_no, text, gold in items:
+    t0 = time.perf_counter()
+    sources = []
+    for line_no, text, _ in items:  # every line is checked before any is decoded
         try:
-            pred = predict_name(ck.params, ck.config, ck.bpe, text,
-                                beam_width=args.beam_width,
-                                length_normalize=args.length_normalize)
+            sources.append(source_ids(ck.config, ck.bpe, text))
         except ValueError as e:  # e.g. a source longer than max_src_len
             raise DataFormatError(f"input {args.input}: {e}", line_no=line_no) from None
-        results.append(ScoredResult(pred, gold))
-    save_results(results, args.out)
-    print(f"wrote {len(results)} predictions to {args.out}")
+    preds, unfinished = predict_names(ck.params, ck.config, sources, args.beam_width,
+                                      args.length_normalize)
+    seconds = time.perf_counter() - t0
+    save_results([ScoredResult(pred, gold) for pred, (_, _, gold) in zip(preds, items)],
+                 args.out)
+    print(f"wrote {len(preds)} predictions to {args.out}")
+    print(f"predict: {len(preds)} utterances, {len(preds) / seconds:.1f} utterances/s, "
+          f"{unfinished} never reached EOS", file=sys.stderr)
     return 0
 
 

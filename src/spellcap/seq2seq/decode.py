@@ -1,11 +1,17 @@
 """Greedy and beam decoding over the character alphabet.
 
 Confidence is the total (length-unnormalized) log-probability of the emitted
-sequence including EOS; a length-normalized variant sits behind a flag. Both
-decoders run one search: the live hypotheses are stacked as rows of one
-incremental decoder call per step, and EOS is ranked against the other
-symbols inside the top-k selection, so greedy decoding is the width-1 beam,
-ties and all.
+sequence including EOS; a length-normalized variant sits behind a flag. Every
+decoder runs one search over a chunk of utterances: the live hypotheses of
+every live utterance are stacked as rows of one incremental decoder call per
+step, each row attending over its own utterance's memory, and EOS is ranked
+against the other symbols inside each utterance's own top-k selection, so
+greedy decoding is the width-1 beam, ties and all. ``greedy_decode``,
+``beam_decode`` and ``predict_name`` are the chunk of one; ``predict_names``
+decodes a file's utterances ``CHUNK`` at a time. A chunk's padding changes
+the shapes of the decoder's products, so a logprob can differ from decoding
+the utterance alone in the last digits (about 1e-14); the fixed chunk size
+keeps every run on the same input bit-identical.
 """
 
 from dataclasses import dataclass
@@ -17,12 +23,18 @@ from ..tokenizer import BOS_ID, bpe_encode, char_decode
 from .model import (
     ModelConfig,
     _log_softmax,
+    check_source,
     decoder_cache,
     decoder_forward,
     encode,
     id_of_class,
     reindex_cache,
 )
+
+# Utterances per search in ``predict_names``. Decoder state grows with the
+# chunk times its longest source; beyond 8 the step no longer gets cheaper
+# per utterance.
+CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -32,69 +44,104 @@ class DecodeResult:
     reached_eos: bool
 
 
-def _search(p, cfg, src_ids, width):
-    """Length-unnormalized beam search; returns results sorted by logprob.
+def _search(p, cfg, sources, width):
+    """Length-unnormalized beam search of each source of a chunk; returns, per
+    source, its results sorted by logprob.
 
-    Each step expands every live prefix by all classes and keeps the global
-    top ``width`` candidates, ranked by a stable sort over the row-major
-    (prefix, class) scores so ties go to the earlier prefix, then the lower
-    class; candidates ending in EOS retire to the completed pool. Search
-    stops once the best live score cannot beat the best completed one
-    (scores only decrease along a path).
+    Each step expands every live prefix of an utterance by all classes and
+    keeps that utterance's top ``width`` candidates, ranked by a stable sort
+    over its row-major (prefix, class) scores so ties go to the earlier
+    prefix, then the lower class; candidates ending in EOS retire to the
+    utterance's completed pool. An utterance's search stops once its best
+    live score cannot beat its best completed one (scores only decrease
+    along a path), and its rows then leave the cache.
     """
-    cache = decoder_cache(p, cfg, encode(p, cfg, src_ids))
-    live = [[BOS_ID]]
-    scores = np.zeros(1)
-    completed: list[DecodeResult] = []
+    if width < 1:
+        raise ValueError("beam_width must be >= 1")
+    cache = decoder_cache(p, cfg, [encode(p, cfg, src) for src in sources])
+    live = [[[BOS_ID]] for _ in sources]
+    scores = [np.zeros(1) for _ in sources]
+    completed: list[list[DecodeResult]] = [[] for _ in sources]
+    active = list(range(len(sources)))
     for _ in range(cfg.max_tgt_len):
-        logp = _log_softmax(decoder_forward(p, cfg, cache, [s[-1] for s in live]))
+        tokens = [seq[-1] for u in active for seq in live[u]]
+        logp = _log_softmax(decoder_forward(p, cfg, cache, tokens))
         n_classes = logp.shape[1]
-        pool = (scores[:, None] + logp).ravel()
-        keep, next_live = [], []
-        for idx in np.argsort(-pool, kind="stable")[:width].tolist():
-            row, cls = divmod(idx, n_classes)
-            seq = live[row] + [id_of_class(cls)]
-            if cls == 0:  # EOS is class 0
-                completed.append(DecodeResult(char_decode(seq), float(pool[idx]), True))
-            else:
-                keep.append(idx)
-                next_live.append(seq)
-        live, scores = next_live, pool[keep]
-        if not live:
+        start, rows, still = 0, [], []
+        for u in active:
+            n = len(live[u])
+            pool = (scores[u][:, None] + logp[start:start + n]).ravel()
+            keep, next_live = [], []
+            for idx in np.argsort(-pool, kind="stable")[:width].tolist():
+                row, cls = divmod(idx, n_classes)
+                seq = live[u][row] + [id_of_class(cls)]
+                if cls == 0:  # EOS is class 0
+                    completed[u].append(DecodeResult(char_decode(seq), float(pool[idx]), True))
+                else:
+                    keep.append(idx)
+                    next_live.append(seq)
+            live[u], scores[u] = next_live, pool[keep]
+            if next_live and not (completed[u] and
+                                  max(c.logprob for c in completed[u]) >= scores[u][0]):
+                rows += [start + idx // n_classes for idx in keep]
+                still.append(u)
+            start += n
+        active = still
+        if not active:
             break
-        if completed and max(c.logprob for c in completed) >= scores[0]:
-            break
-        reindex_cache(cache, [idx // n_classes for idx in keep])
-    for seq, score in zip(live, scores.tolist()):
-        completed.append(DecodeResult(char_decode(seq), score, False))
-    completed.sort(key=lambda r: -r.logprob)
-    return completed[:width]
+        reindex_cache(cache, rows)
+    out = []
+    for done, seqs, final in zip(completed, live, scores):
+        done += [DecodeResult(char_decode(seq), score, False)
+                 for seq, score in zip(seqs, final.tolist())]
+        done.sort(key=lambda r: -r.logprob)
+        out.append(done[:width])
+    return out
 
 
 def greedy_decode(p, cfg: ModelConfig, src_ids) -> DecodeResult:
     """Argmax characters until EOS or ``cfg.max_tgt_len`` emitted symbols."""
-    return _search(p, cfg, src_ids, 1)[0]
+    return _search(p, cfg, [src_ids], 1)[0][0]
 
 
 def beam_decode(p, cfg: ModelConfig, src_ids, beam_width: int) -> list[DecodeResult]:
     """Beam search of width ``beam_width``; returns results sorted by logprob."""
-    if beam_width < 1:
-        raise ValueError("beam_width must be >= 1")
-    return _search(p, cfg, src_ids, beam_width)
+    return _search(p, cfg, [src_ids], beam_width)[0]
 
 
-def predict_name(p, cfg: ModelConfig, bpe, text: str, beam_width: int = 1,
-                 length_normalize: bool = False) -> Prediction:
-    """Run the full pipeline on one lowercase hypothesis text."""
+def source_ids(cfg: ModelConfig, bpe, text: str) -> list[int]:
+    """The BPE ids of one lowercase hypothesis text, which the model must be
+    able to decode."""
     src_ids = bpe_encode(bpe, text)
-    if not src_ids:
-        raise ValueError("empty source sequence")
-    if beam_width == 1:
-        best = greedy_decode(p, cfg, src_ids)
-    else:
-        best = beam_decode(p, cfg, src_ids, beam_width)[0]
+    check_source(cfg, src_ids)
+    return src_ids
+
+
+def _prediction(best: DecodeResult, length_normalize: bool) -> Prediction:
     conf = best.logprob
     if length_normalize:
         steps = len(best.name) + (1 if best.reached_eos else 0)
         conf = conf / max(steps, 1)
     return Prediction(best.name, conf, "seq2seq")
+
+
+def predict_name(p, cfg: ModelConfig, bpe, text: str, beam_width: int = 1,
+                 length_normalize: bool = False) -> Prediction:
+    """Run the full pipeline on one lowercase hypothesis text."""
+    src_ids = source_ids(cfg, bpe, text)
+    if beam_width == 1:
+        best = greedy_decode(p, cfg, src_ids)
+    else:
+        best = beam_decode(p, cfg, src_ids, beam_width)[0]
+    return _prediction(best, length_normalize)
+
+
+def predict_names(p, cfg: ModelConfig, sources, beam_width: int,
+                  length_normalize: bool) -> tuple[list[Prediction], int]:
+    """The best name of each of ``sources`` (``source_ids`` lists), decoded
+    ``CHUNK`` utterances per search; returns (predictions, how many of them
+    never reached EOS)."""
+    best = [results[0] for i in range(0, len(sources), CHUNK)
+            for results in _search(p, cfg, sources[i:i + CHUNK], beam_width)]
+    return ([_prediction(b, length_normalize) for b in best],
+            sum(not b.reached_eos for b in best))

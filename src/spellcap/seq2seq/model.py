@@ -24,6 +24,9 @@ stream does not depend on the padding.
 
 Decoding runs the same layer loop, ``_stack_f``, on one new position per
 hypothesis over a key/value cache (``decoder_cache``) that each step extends.
+The hypotheses of several utterances share one step: each row attends over
+its own utterance's memory, padded to the longest source of the chunk and
+masked by the source layout, as in training.
 """
 
 import math
@@ -335,11 +338,11 @@ def _stack_f(x, p, cfg, stack, rng, rows, memory=None, memory_rows=None, cache=N
     """Every layer of ``stack`` over the rows ``x`` laid out by ``rows`` (see
     ``LAYERS``), then the stack's final layer norm; "cross" sublayers attend
     over the rows ``memory`` laid out by ``memory_rows``. With a ``cache``
-    (see ``decoder_cache``), each attention runs over its entry, as
-    ``_attention_f``'s ``past``, and writes its full K/V back; ``memory`` is
-    then None, ``memory_rows`` lays out the cached "cross" K/V, the projected
-    memory, and no sublayer cache is kept. Returns (output rows, sublayer
-    caches in order, final-norm cache)."""
+    (the ``layers`` of a ``DecoderCache``), each attention runs over its
+    entry, as ``_attention_f``'s ``past``, and writes its full K/V back;
+    ``memory`` is then None, ``memory_rows.keys`` masks the cached "cross"
+    K/V, the projected memory, and no sublayer cache is kept. Returns (output
+    rows, sublayer caches in order, final-norm cache)."""
     caches = []
     for i in range(cfg.n_layers):
         for kind, ln, body in LAYERS[stack]:
@@ -516,47 +519,84 @@ def loss_and_gradients(p, cfg: ModelConfig, batch, dropout_rng=None):
 # --------------------------------------------------------- inference surface
 
 
-def encode(p, cfg: ModelConfig, src_ids) -> np.ndarray:
-    """Contextual memory [len(src), d_model] for one source sequence."""
+def check_source(cfg: ModelConfig, src_ids) -> None:
+    """Raise ValueError unless the model can encode ``src_ids``."""
     if len(src_ids) == 0:
         raise ValueError("empty source sequence")
     if len(src_ids) > cfg.max_src_len:
         raise ValueError(f"source longer than max_src_len={cfg.max_src_len}")
+
+
+def encode(p, cfg: ModelConfig, src_ids) -> np.ndarray:
+    """Contextual memory [len(src), d_model] for one source sequence."""
+    check_source(cfg, src_ids)
     arr = np.asarray([src_ids], dtype=np.int64)
     return _encode_f(p, cfg, arr, Layout(None, arr.shape, None), None)[0]
 
 
-def decoder_cache(p, cfg: ModelConfig, memory) -> list[dict]:
-    """A one-row cache for ``memory`` [len(src), d_model]: per decoder layer,
-    the head-split (keys, values) [rows, H, len, D/H] of its "self" attention,
-    empty here, and of its "cross" attention, projected here once. Rows are
-    hypotheses of one utterance; the single cross row is shared by all."""
-    mem_rows = Layout(None, (1, len(memory)), None)
-    empty = np.zeros((1, cfg.n_heads, 0, cfg.d_model // cfg.n_heads))
-    return [{"self": (empty, empty),
-             "cross": tuple(_heads(memory, p[f"decoder.{i}.cross_attn.{w}"], mem_rows,
-                                   cfg.n_heads) for w in ("wk", "wv"))}
-            for i in range(cfg.n_layers)]
+@dataclass
+class DecoderCache:
+    """The incremental decoder state of a chunk of utterances, one row per
+    live hypothesis. ``layers`` holds, per decoder layer, the head-split
+    (keys, values) [rows, H, len, D/H] of its "self" attention over the
+    decoded prefix and of its "cross" attention over the row's memory,
+    padded to the longest source of the chunk, with ``keys`` the mask of
+    those memory keys (None: all attendable). ``owner`` is the utterance of
+    each row, or None for a chunk of one, whose single cross row every row
+    shares."""
+
+    layers: list[dict]
+    owner: np.ndarray | None
+    keys: np.ndarray | None
 
 
-def reindex_cache(cache: list[dict], rows) -> None:
-    """Keep, in place, the self-attention rows ``rows`` (in that order; a row
-    may repeat), e.g. the parent of every hypothesis that survived a search
-    step."""
-    for layer in cache:
+def decoder_cache(p, cfg: ModelConfig, memories) -> DecoderCache:
+    """The cache of a chunk, one row per utterance, from the memory
+    [len(src), d_model] of each; the cross K/V are projected here once."""
+    lengths = [len(m) for m in memories]
+    if min(lengths) == max(lengths):  # every key attendable, as for one utterance
+        mem_rows = Layout(None, (len(lengths), lengths[0]), None)
+    else:
+        valid = np.arange(max(lengths)) < np.array(lengths)[:, None]
+        mem_rows = _layout(valid, valid[:, None, None, :])
+    memory = np.concatenate(memories)
+    empty = np.zeros((len(memories), cfg.n_heads, 0, cfg.d_model // cfg.n_heads))
+    layers = [{"self": (empty, empty),
+               "cross": tuple(_heads(memory, p[f"decoder.{i}.cross_attn.{w}"], mem_rows,
+                                     cfg.n_heads) for w in ("wk", "wv"))}
+              for i in range(cfg.n_layers)]
+    owner = np.arange(len(memories)) if len(memories) > 1 else None
+    return DecoderCache(layers, owner, mem_rows.keys)
+
+
+def reindex_cache(cache: DecoderCache, rows) -> None:
+    """Keep, in place, the rows ``rows`` (in that order; a row may repeat),
+    e.g. the parent of every hypothesis that survived a search step, of any
+    utterance. The cross K/V and key mask follow the rows only when the
+    row -> utterance map changes."""
+    rows = np.asarray(rows)
+    for layer in cache.layers:
         layer["self"] = tuple(kv[rows] for kv in layer["self"])
+    owner = None if cache.owner is None else cache.owner[rows]
+    if owner is None or np.array_equal(owner, cache.owner):
+        return
+    cache.owner = owner
+    for layer in cache.layers:
+        layer["cross"] = tuple(kv[rows] for kv in layer["cross"])
+    if cache.keys is not None:
+        cache.keys = cache.keys[rows]
 
 
 def decoder_forward(p, cfg: ModelConfig, cache, tokens) -> np.ndarray:
     """Next-character logits [rows, n_classes] for ``tokens``, the next token
     of every row of ``cache`` (from ``decoder_cache``). Runs the training
-    layer loop on that one new position per row, every cached key
-    attendable, and appends its self-attention K/V to ``cache`` in place."""
+    layer loop on that one new position per row, attending over the row's
+    own memory, and appends its self-attention K/V to ``cache`` in place."""
     ids = np.asarray(tokens, dtype=np.int64)[:, None]
     rows = Layout(None, ids.shape, None)
-    x = _embed_f(p, cfg, ids, rows, None, cache[0]["self"][0].shape[2])[0]
-    mem_rows = Layout(None, (1, cache[0]["cross"][0].shape[2]), None)  # as decoder_cache
-    yn = _stack_f(x, p, cfg, "decoder", None, rows, memory_rows=mem_rows, cache=cache)[0]
+    x = _embed_f(p, cfg, ids, rows, None, cache.layers[0]["self"][0].shape[2])[0]
+    mem_rows = Layout(None, None, cache.keys)  # only the key mask is read
+    yn = _stack_f(x, p, cfg, "decoder", None, rows, memory_rows=mem_rows, cache=cache.layers)[0]
     return yn @ p["output.weight"] + p["output.bias"]
 
 

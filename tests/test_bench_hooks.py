@@ -51,3 +51,23 @@ def test_pack_batch_hook_sees_the_padded_batch(module):
         tracer.uninstall()
     # src positions, src padding, tgt positions, tgt padding
     assert [s[INFO] for s in tracer.named(entry[2])] == [(10, 4, 8, 2)]
+
+
+def test_chunked_predict_traces_every_utterance(tmp_path):
+    # predict decodes in chunks, but still tokenizes and encodes each
+    # utterance through the decode module's globals, so the per-utterance
+    # tokenizer and encoder metrics keep their meaning
+    from spellcap.cli import main
+
+    text = tmp_path / "in.txt"
+    text.write_text("v e r a\nj o n e s\n" * 10)
+    ckpt = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "model.ckpt"
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        assert main(["predict", "--checkpoint", str(ckpt), "--input", str(text),
+                     "--out", str(tmp_path / "out.tsv")]) == 0
+    finally:
+        tracer.uninstall()
+    assert len(tracer.named("seq2seq.model.encode")) == 20
+    assert len(tracer.named("tokenizer.bpe_encode")) == 20

@@ -421,6 +421,69 @@ def test_predict_overlong_utterance_exits_3_with_line(pipeline, tmp_path, capsys
     assert code == 3 and f"line {line_no}:" in err and "max_src_len" in err
 
 
+def test_predict_checks_every_line_before_decoding(pipeline, tmp_path, capsys):
+    # line 11 sits in the second chunk of 8; the first chunk is never written
+    lines = ["v e r a"] * 12
+    lines[10] = "a " * 200
+    text = tmp_path / "long.txt"
+    text.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "x.tsv"
+    code, _, err = run(capsys, "predict", "--checkpoint", str(pipeline["ckpt"]),
+                       "--input", str(text), "--out", str(out))
+    assert code == 3 and "line 11:" in err and "max_src_len" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_chunked_predict_matches_per_line_predict_name(pipeline, tmp_path, capsys,
+                                                       width, normalize):
+    from spellcap.seq2seq.decode import CHUNK, predict_name
+
+    out = tmp_path / "p.tsv"
+    argv = ["predict", "--checkpoint", str(pipeline["ckpt"]), "--input",
+            str(pipeline["train"]), "--out", str(out), "--beam-width", str(width)]
+    code, _, _ = run(capsys, *argv + ["--length-normalize"] * normalize)
+    assert code == 0
+    ck = load_checkpoint(pipeline["ckpt"])
+    samples = load_dataset(pipeline["train"])
+    assert len(samples) > 2 * CHUNK
+    results = load_results(out)
+    assert [r.gold for r in results] == [s.gold for s in samples]
+    for s, r in zip(samples, results):
+        want = predict_name(ck.params, ck.config, ck.bpe, s.nbest[0].text(),
+                            beam_width=width, length_normalize=normalize)
+        assert r.prediction.name == want.name
+        assert abs(r.prediction.confidence - want.confidence) <= 1e-9
+
+
+def test_predict_summary_on_stderr(pipeline, tmp_path, capsys):
+    import re
+
+    from spellcap.seq2seq.decode import greedy_decode, source_ids
+
+    # a checkpoint that emits at most 2 characters, so some names are cut
+    blob = pipeline["ckpt"].read_bytes()
+    nl = blob.find(b"\n")
+    manifest = json.loads(blob[:nl])
+    manifest["config"]["max_tgt_len"] = 2
+    short = tmp_path / "short.ckpt"
+    short.write_bytes(json.dumps(manifest).encode() + blob[nl:])
+    out = tmp_path / "p.tsv"
+    code, stdout, err = run(capsys, "predict", "--checkpoint", str(short),
+                            "--input", str(pipeline["dev"]), "--out", str(out))
+    assert code == 0 and stdout == f"wrote 6 predictions to {out}\n"
+    ck = load_checkpoint(short)
+    unfinished = sum(
+        not greedy_decode(ck.params, ck.config,
+                          source_ids(ck.config, ck.bpe, s.nbest[0].text())).reached_eos
+        for s in load_dataset(pipeline["dev"]))
+    assert unfinished > 0
+    summary = err.splitlines()[-1]
+    assert re.fullmatch(r"predict: 6 utterances, \d+\.\d utterances/s, "
+                        rf"{unfinished} never reached EOS", summary), summary
+
+
 def test_predict_dataset_stdin_is_sniffed(pipeline, capsys, monkeypatch):
     import io
     text = pipeline["dev"].read_text()

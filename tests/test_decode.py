@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spellcap import tokenizer as tk
-from spellcap.seq2seq.decode import beam_decode, greedy_decode, predict_name
+from spellcap.seq2seq.decode import _search, beam_decode, greedy_decode, predict_name
 from spellcap.seq2seq.model import (
     ModelConfig,
     _log_softmax,
@@ -111,6 +111,48 @@ def test_search_matches_full_recompute_reference(seed, eos_bias, max_len):
             assert g.name == char_decode([BOS_ID] + [id_of_class(c) for c in classes])
             assert g.reached_eos == reached_eos
             assert abs(g.logprob - logprob) <= 1e-9
+
+
+def mixed_chunk_setup(seed):
+    """A random model whose EOS bias makes some of 64 sources of 2-30 tokens
+    end with EOS within 4 steps while the rest are cut at ``max_tgt_len``."""
+    params = init_parameters(CFG, seed=seed)
+    params["output.bias"][0] += 1.0
+    rng = np.random.default_rng(seed + 40)
+    sources = [list(rng.integers(4, 36, size=int(rng.integers(2, 31)))) for _ in range(64)]
+    return params, replace(CFG, max_tgt_len=4), sources
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_chunked_search_matches_one_at_a_time(seed, width, chunk):
+    params, cfg, sources = mixed_chunk_setup(seed)
+    alone = [beam_decode(params, cfg, src, width) for src in sources]
+    ended = {r[0].reached_eos for r in alone}
+    # some searches end with EOS and leave the chunk while others run on
+    assert ended == {True, False}
+    got = []
+    for i in range(0, len(sources), chunk):
+        got += _search(params, cfg, sources[i:i + chunk], width)
+    assert len(got) == len(sources)
+    for want, results in zip(alone, got):
+        assert [r.name for r in results] == [r.name for r in want]
+        assert [r.reached_eos for r in results] == [r.reached_eos for r in want]
+        for r, w in zip(results, want):
+            assert abs(r.logprob - w.logprob) <= 1e-9
+
+
+def test_chunk_wider_than_every_candidate_pool():
+    # 900 exceeds the 812 candidates of step 2: each utterance of the chunk
+    # keeps all of its own, and none of another's
+    params, cfg, sources = mixed_chunk_setup(3)
+    cfg = replace(cfg, max_tgt_len=2)
+    got = _search(params, cfg, sources[:5], 900)
+    for src, results in zip(sources[:5], got):
+        want = beam_decode(params, cfg, src, 900)
+        assert [r.name for r in results] == [r.name for r in want]
+        assert max(abs(r.logprob - w.logprob) for r, w in zip(results, want)) <= 1e-9
 
 
 def test_beam_results_ranked_descending():

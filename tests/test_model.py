@@ -103,7 +103,7 @@ def test_cached_steps_match_full_prefix(n_layers, n_heads, head_dim, max_tgt_len
         return [M.id_of_class(int(c)) for c in rng.integers(1, M.N_CLASSES, size=n)]
 
     prefixes = [[1] + continuation(max_tgt_len - 1)]
-    cache = M.decoder_cache(params, cfg, memory)
+    cache = M.decoder_cache(params, cfg, [memory])
     for t in range(max_tgt_len):
         step = M.decoder_forward(params, cfg, cache, [pre[t] for pre in prefixes])
         assert step.shape == (len(prefixes), M.N_CLASSES)
