@@ -8,12 +8,14 @@ step, each row attending over its own utterance's memory, and EOS is ranked
 against the other symbols inside each utterance's own top-k selection, so
 greedy decoding is the width-1 beam, ties and all. ``greedy_decode``,
 ``beam_decode`` and ``predict_name`` are the chunk of one; ``predict_names``
-decodes a file's utterances ``CHUNK`` at a time. A chunk's padding changes
-the shapes of the decoder's products, so a logprob can differ from decoding
-the utterance alone in the last digits (about 1e-14); the fixed chunk size
-keeps every run on the same input bit-identical.
+decodes a file's utterances ``CHUNK`` at a time, each still through
+``greedy_decode`` or ``beam_decode`` (see ``_Chunk``). A chunk's padding
+changes the shapes of the decoder's products, so a logprob can differ from
+decoding the utterance alone in the last digits (about 1e-14); the fixed
+chunk size keeps every run on the same input bit-identical.
 """
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,14 +101,46 @@ def _search(p, cfg, sources, width):
     return out
 
 
+class _Chunk:
+    """Sources that ``predict_names`` decodes through one search. The search
+    runs inside the decode call of the first of them to be decoded, and the
+    others read their results from it: every utterance still goes through
+    ``greedy_decode`` or ``beam_decode`` once, and a profile of those calls
+    holds each of the chunk's decoder steps once."""
+
+    def __init__(self, p, cfg, sources, width):
+        self.p, self.cfg, self.sources, self.width = p, cfg, sources, width
+        self.results = None
+
+    def results_of(self, src_ids, width):
+        """The results of ``src_ids`` if it is one of these sources (the same
+        list) decoded at this width, else None."""
+        k = next((k for k, src in enumerate(self.sources) if src is src_ids), None)
+        if k is None or width != self.width:
+            return None
+        if self.results is None:
+            self.results = _search(self.p, self.cfg, self.sources, width)
+        return self.results[k]
+
+
+# The chunk ``predict_names`` is decoding, if any.
+_chunk: ContextVar[_Chunk | None] = ContextVar("chunk", default=None)
+
+
+def _decode(p, cfg, src_ids, width):
+    chunk = _chunk.get()
+    results = None if chunk is None else chunk.results_of(src_ids, width)
+    return _search(p, cfg, [src_ids], width)[0] if results is None else results
+
+
 def greedy_decode(p, cfg: ModelConfig, src_ids) -> DecodeResult:
     """Argmax characters until EOS or ``cfg.max_tgt_len`` emitted symbols."""
-    return _search(p, cfg, [src_ids], 1)[0][0]
+    return _decode(p, cfg, src_ids, 1)[0]
 
 
 def beam_decode(p, cfg: ModelConfig, src_ids, beam_width: int) -> list[DecodeResult]:
     """Beam search of width ``beam_width``; returns results sorted by logprob."""
-    return _search(p, cfg, [src_ids], beam_width)[0]
+    return _decode(p, cfg, src_ids, beam_width)
 
 
 def source_ids(cfg: ModelConfig, bpe, text: str) -> list[int]:
@@ -125,15 +159,17 @@ def _prediction(best: DecodeResult, length_normalize: bool) -> Prediction:
     return Prediction(best.name, conf, "seq2seq")
 
 
+def _best(p, cfg, src_ids, beam_width):
+    if beam_width == 1:
+        return greedy_decode(p, cfg, src_ids)
+    return beam_decode(p, cfg, src_ids, beam_width)[0]
+
+
 def predict_name(p, cfg: ModelConfig, bpe, text: str, beam_width: int = 1,
                  length_normalize: bool = False) -> Prediction:
     """Run the full pipeline on one lowercase hypothesis text."""
-    src_ids = source_ids(cfg, bpe, text)
-    if beam_width == 1:
-        best = greedy_decode(p, cfg, src_ids)
-    else:
-        best = beam_decode(p, cfg, src_ids, beam_width)[0]
-    return _prediction(best, length_normalize)
+    return _prediction(_best(p, cfg, source_ids(cfg, bpe, text), beam_width),
+                       length_normalize)
 
 
 def predict_names(p, cfg: ModelConfig, sources, beam_width: int,
@@ -141,7 +177,13 @@ def predict_names(p, cfg: ModelConfig, sources, beam_width: int,
     """The best name of each of ``sources`` (``source_ids`` lists), decoded
     ``CHUNK`` utterances per search; returns (predictions, how many of them
     never reached EOS)."""
-    best = [results[0] for i in range(0, len(sources), CHUNK)
-            for results in _search(p, cfg, sources[i:i + CHUNK], beam_width)]
+    best = []
+    for i in range(0, len(sources), CHUNK):
+        chunk = sources[i:i + CHUNK]
+        token = _chunk.set(_Chunk(p, cfg, chunk, beam_width))
+        try:
+            best += [_best(p, cfg, src, beam_width) for src in chunk]
+        finally:
+            _chunk.reset(token)
     return ([_prediction(b, length_normalize) for b in best],
             sum(not b.reached_eos for b in best))

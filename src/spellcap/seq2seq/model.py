@@ -553,12 +553,10 @@ class DecoderCache:
 def decoder_cache(p, cfg: ModelConfig, memories) -> DecoderCache:
     """The cache of a chunk, one row per utterance, from the memory
     [len(src), d_model] of each; the cross K/V are projected here once."""
-    lengths = [len(m) for m in memories]
-    if min(lengths) == max(lengths):  # every key attendable, as for one utterance
-        mem_rows = Layout(None, (len(lengths), lengths[0]), None)
-    else:
-        valid = np.arange(max(lengths)) < np.array(lengths)[:, None]
-        mem_rows = _layout(valid, valid[:, None, None, :])
+    lengths = np.array([len(m) for m in memories])
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    # no key mask when every key is attendable, as for one utterance
+    mem_rows = _layout(valid, None if valid.all() else valid[:, None, None, :])
     memory = np.concatenate(memories)
     empty = np.zeros((len(memories), cfg.n_heads, 0, cfg.d_model // cfg.n_heads))
     layers = [{"self": (empty, empty),

@@ -7,12 +7,13 @@ import importlib
 import inspect
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import layers  # noqa: E402
-from spans import INFO, Tracer  # noqa: E402
+from spans import INFO, NAME, Tracer  # noqa: E402
 
 
 @pytest.mark.parametrize("module, attr", [(m, a) for m, a, _, _ in layers.WRAPPED],
@@ -53,10 +54,15 @@ def test_pack_batch_hook_sees_the_padded_batch(module):
     assert [s[INFO] for s in tracer.named(entry[2])] == [(10, 4, 8, 2)]
 
 
-def test_chunked_predict_traces_every_utterance(tmp_path):
-    # predict decodes in chunks, but still tokenizes and encodes each
-    # utterance through the decode module's globals, so the per-utterance
-    # tokenizer and encoder metrics keep their meaning
+@pytest.mark.parametrize("beam_width, label", [(1, "greedy"), (4, "beam4")])
+def test_chunked_predict_traces_every_utterance(tmp_path, beam_width, label):
+    # predict decodes in chunks, but still tokenizes, encodes and decodes
+    # each utterance through the decode module's globals, and runs every
+    # decoder step inside one utterance's greedy or beam call, so the
+    # per-utterance metrics keep their meaning
+    # the benchmark imports the model package before it installs the
+    # wrappers; one first imported under them binds a wrapped bpe_encode
+    import spellcap.seq2seq  # noqa: F401
     from spellcap.cli import main
 
     text = tmp_path / "in.txt"
@@ -66,8 +72,18 @@ def test_chunked_predict_traces_every_utterance(tmp_path):
     layers.install(tracer)
     try:
         assert main(["predict", "--checkpoint", str(ckpt), "--input", str(text),
-                     "--out", str(tmp_path / "out.tsv")]) == 0
+                     "--out", str(tmp_path / "out.tsv"),
+                     "--beam-width", str(beam_width)]) == 0
     finally:
         tracer.uninstall()
     assert len(tracer.named("seq2seq.model.encode")) == 20
     assert len(tracer.named("tokenizer.bpe_encode")) == 20
+    decoder = layers.DECODERS[beam_width > 1]
+    assert len(tracer.named(decoder)) == 20
+    steps = tracer.named("seq2seq.model.decoder_forward")
+    assert steps and all(tracer.ancestor(s, layers.DECODERS)[NAME] == decoder for s in steps)
+    values = layers.metrics(SimpleNamespace(tracer=tracer, import_s=0.0), 0.0)
+    calls = values[f"seq2seq.model.decoder_forward_calls_per_utt.{label}"][0]
+    assert calls == pytest.approx(len(steps) / 20)
+    assert values["seq2seq.decode.eos_fraction"][0] == pytest.approx(
+        sum(s[INFO] for s in tracer.named(decoder)) / 20)
