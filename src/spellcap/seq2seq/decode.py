@@ -112,24 +112,26 @@ class _Chunk:
         self.p, self.cfg, self.sources, self.width = p, cfg, sources, width
         self.results = None
 
-    def results_of(self, src_ids, width):
+    def results_of(self, src_ids):
         """The results of ``src_ids`` if it is one of these sources (the same
-        list) decoded at this width, else None."""
+        list), else None."""
         k = next((k for k, src in enumerate(self.sources) if src is src_ids), None)
-        if k is None or width != self.width:
+        if k is None:
             return None
         if self.results is None:
-            self.results = _search(self.p, self.cfg, self.sources, width)
+            self.results = _search(self.p, self.cfg, self.sources, self.width)
         return self.results[k]
 
 
-# The chunk ``predict_names`` is decoding, if any.
+# The chunk ``predict_names`` is decoding, if any. A context variable, not a
+# parameter, so that the per-utterance decoders keep their signatures, by
+# which callers and profilers look them up.
 _chunk: ContextVar[_Chunk | None] = ContextVar("chunk", default=None)
 
 
 def _decode(p, cfg, src_ids, width):
     chunk = _chunk.get()
-    results = None if chunk is None else chunk.results_of(src_ids, width)
+    results = None if chunk is None else chunk.results_of(src_ids)
     return _search(p, cfg, [src_ids], width)[0] if results is None else results
 
 
