@@ -258,7 +258,7 @@ def cmd_eval(args) -> int:
         try:
             results = load_results(path)
         except DataFormatError as e:
-            if "no results" in str(e):
+            if e.line_no is None:  # an empty file: a usage problem, not bad data
                 raise ConfigError(str(e)) from None
             raise
         label = Path(path).stem

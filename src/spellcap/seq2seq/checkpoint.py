@@ -25,7 +25,6 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from functools import cache
-from types import UnionType
 from typing import get_args, get_origin
 
 import numpy as np
@@ -58,8 +57,6 @@ def _value(tp, obj, where):
     origin, args = _parts(tp)
     if origin is dataclass:
         return _typed(tp, obj, where)
-    if origin is UnionType:  # X | None, with X first
-        return None if obj is None else _value(args[0], obj, where)
     if origin is dict:
         _expect(type(obj) is dict, obj, where, "an object")
         return {k: _value(args[1], v, (where, k)) for k, v in obj.items()}

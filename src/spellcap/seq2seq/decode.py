@@ -8,15 +8,16 @@ step, each row attending over its own utterance's memory, and EOS is ranked
 against the other symbols inside each utterance's own top-k selection, so
 greedy decoding is the width-1 beam, ties and all. ``greedy_decode``,
 ``beam_decode`` and ``predict_name`` are the chunk of one; ``predict_names``
-decodes a file's utterances ``CHUNK`` at a time, each still through
-``greedy_decode`` or ``beam_decode`` (see ``_Chunk``). A chunk's padding
-changes the shapes of the decoder's products, so a logprob can differ from
-decoding the utterance alone in the last digits (about 1e-14); the fixed
-chunk size keeps every run on the same input bit-identical.
+decodes a file's utterances ``CHUNK`` at a time through one search, and
+still hands each utterance to ``greedy_decode`` or ``beam_decode``, with its
+chunk's search and its index in it. A chunk's padding changes the shapes of
+the decoder's products, so a logprob can differ from decoding the utterance
+alone in the last digits (about 1e-14); the fixed chunk size keeps every run
+on the same input bit-identical.
 """
 
-from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -101,48 +102,24 @@ def _search(p, cfg, sources, width):
     return out
 
 
-class _Chunk:
-    """Sources that ``predict_names`` decodes through one search. The search
-    runs inside the decode call of the first of them to be decoded, and the
-    others read their results from it: every utterance still goes through
-    ``greedy_decode`` or ``beam_decode`` once, and a profile of those calls
-    holds each of the chunk's decoder steps once."""
-
-    def __init__(self, p, cfg, sources, width):
-        self.p, self.cfg, self.sources, self.width = p, cfg, sources, width
-        self.results = None
-
-    def results_of(self, src_ids):
-        """The results of ``src_ids`` if it is one of these sources (the same
-        list), else None."""
-        k = next((k for k, src in enumerate(self.sources) if src is src_ids), None)
-        if k is None:
-            return None
-        if self.results is None:
-            self.results = _search(self.p, self.cfg, self.sources, self.width)
-        return self.results[k]
+def _decode(p, cfg, src_ids, width, chunk):
+    """The results of ``src_ids``, searched alone, or read from the search of
+    its chunk: ``chunk`` is (that search, cached, the utterance's index)."""
+    if chunk is None:
+        return _search(p, cfg, [src_ids], width)[0]
+    search, k = chunk
+    return search()[k]
 
 
-# The chunk ``predict_names`` is decoding, if any. A context variable, not a
-# parameter, so that the per-utterance decoders keep their signatures, by
-# which callers and profilers look them up.
-_chunk: ContextVar[_Chunk | None] = ContextVar("chunk", default=None)
-
-
-def _decode(p, cfg, src_ids, width):
-    chunk = _chunk.get()
-    results = None if chunk is None else chunk.results_of(src_ids)
-    return _search(p, cfg, [src_ids], width)[0] if results is None else results
-
-
-def greedy_decode(p, cfg: ModelConfig, src_ids) -> DecodeResult:
+def greedy_decode(p, cfg: ModelConfig, src_ids, chunk=None) -> DecodeResult:
     """Argmax characters until EOS or ``cfg.max_tgt_len`` emitted symbols."""
-    return _decode(p, cfg, src_ids, 1)[0]
+    return _decode(p, cfg, src_ids, 1, chunk)[0]
 
 
-def beam_decode(p, cfg: ModelConfig, src_ids, beam_width: int) -> list[DecodeResult]:
+def beam_decode(p, cfg: ModelConfig, src_ids, beam_width: int,
+                chunk=None) -> list[DecodeResult]:
     """Beam search of width ``beam_width``; returns results sorted by logprob."""
-    return _decode(p, cfg, src_ids, beam_width)
+    return _decode(p, cfg, src_ids, beam_width, chunk)
 
 
 def source_ids(cfg: ModelConfig, bpe, text: str) -> list[int]:
@@ -161,10 +138,10 @@ def _prediction(best: DecodeResult, length_normalize: bool) -> Prediction:
     return Prediction(best.name, conf, "seq2seq")
 
 
-def _best(p, cfg, src_ids, beam_width):
+def _best(p, cfg, src_ids, beam_width, chunk=None):
     if beam_width == 1:
-        return greedy_decode(p, cfg, src_ids)
-    return beam_decode(p, cfg, src_ids, beam_width)[0]
+        return greedy_decode(p, cfg, src_ids, chunk)
+    return beam_decode(p, cfg, src_ids, beam_width, chunk)[0]
 
 
 def predict_name(p, cfg: ModelConfig, bpe, text: str, beam_width: int = 1,
@@ -181,11 +158,11 @@ def predict_names(p, cfg: ModelConfig, sources, beam_width: int,
     never reached EOS)."""
     best = []
     for i in range(0, len(sources), CHUNK):
+        # the chunk's one search runs inside the decode call of its first
+        # utterance and the others read their results from it, so a profile
+        # of the decode calls holds each decoder step once
         chunk = sources[i:i + CHUNK]
-        token = _chunk.set(_Chunk(p, cfg, chunk, beam_width))
-        try:
-            best += [_best(p, cfg, src, beam_width) for src in chunk]
-        finally:
-            _chunk.reset(token)
+        search = cache(partial(_search, p, cfg, chunk, beam_width))
+        best += [_best(p, cfg, src, beam_width, (search, k)) for k, src in enumerate(chunk)]
     return ([_prediction(b, length_normalize) for b in best],
             sum(not b.reached_eos for b in best))

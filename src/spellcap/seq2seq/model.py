@@ -22,8 +22,12 @@ utterance at inference), packing is a reshape and nothing is scattered.
 Dropout masks are drawn over the padded shape and then packed, so the random
 stream does not depend on the padding.
 
-Decoding runs the same layer loop, ``_stack_f``, on one new position per
-hypothesis over a key/value cache (``decoder_cache``) that each step extends.
+One function, ``_stack_f``, runs a whole stack (embedding, every layer of
+``LAYERS``, final layer norm) and keeps its caches as a named ``Stack``;
+``_stack_b`` is its backward. Training, evaluation and ``forward_details``
+run one pass, ``_forward``, whose caches are a ``Pass``. ``encode`` and
+``decoder_forward`` call ``_stack_f`` directly, the latter on one new position
+per hypothesis over a key/value cache (``decoder_cache``) that each step extends.
 The hypotheses of several utterances share one step: each row attends over
 its own utterance's memory, padded to the longest source of the chunk and
 masked by the source layout, as in training.
@@ -304,7 +308,7 @@ def _ffn_b(dy, cache, p, prefix, grads):
     return dz @ p[f"{prefix}.w1"].T
 
 
-def _embed_f(p, cfg, ids, rows, rng, start=0):
+def _embed_f(p, cfg, ids, rows, rng, start):
     """Rows of scaled embeddings plus the positional encoding for the valid
     ``ids`` [B, L], which sit at positions ``start .. start + L - 1``."""
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
@@ -333,17 +337,23 @@ def _embed_b(dx, cache, grads):
 # the body's parameters.
 Sublayer = namedtuple("Sublayer", "kind prefix ln f drop")
 
+# One stack's caches: its embedding's, its Sublayers in order, its final norm's.
+Stack = namedtuple("Stack", "emb sublayers norm")
 
-def _stack_f(x, p, cfg, stack, rng, rows, memory=None, memory_rows=None, cache=None):
-    """Every layer of ``stack`` over the rows ``x`` laid out by ``rows`` (see
-    ``LAYERS``), then the stack's final layer norm; "cross" sublayers attend
-    over the rows ``memory`` laid out by ``memory_rows``. With a ``cache``
-    (the ``layers`` of a ``DecoderCache``), each attention runs over its
-    entry, as ``_attention_f``'s ``past``, and writes its full K/V back;
-    ``memory`` is then None, ``memory_rows.keys`` masks the cached "cross"
-    K/V, the projected memory, and no sublayer cache is kept. Returns (output
-    rows, sublayer caches in order, final-norm cache)."""
-    caches = []
+
+def _stack_f(ids, p, cfg, stack, rng, rows, memory=None, memory_rows=None, cache=None):
+    """The embedding of the valid ``ids`` [B, L] (laid out by ``rows``), every
+    layer of ``stack`` (see ``LAYERS``) and the stack's final layer norm;
+    "cross" sublayers attend over the rows ``memory`` laid out by
+    ``memory_rows``. With a ``cache`` (the ``layers`` of a ``DecoderCache``),
+    ``ids`` follow the cached positions, each attention runs over its entry,
+    as ``_attention_f``'s ``past``, and writes its full K/V back; ``memory``
+    is then None, ``memory_rows.keys`` masks the cached "cross" K/V, the
+    projected memory, and no sublayer cache is kept. Returns (output rows,
+    Stack)."""
+    start = 0 if cache is None else cache[0]["self"][0].shape[2]
+    x, c_emb = _embed_f(p, cfg, ids, rows, rng, start)
+    sublayers = []
     for i in range(cfg.n_layers):
         for kind, ln, body in LAYERS[stack]:
             a, c_ln = _layer_norm_f(x, p, f"{stack}.{i}.{ln}")
@@ -359,17 +369,17 @@ def _stack_f(x, p, cfg, stack, rng, rows, memory=None, memory_rows=None, cache=N
             y, drop = _dropout_f(y, cfg.dropout, rng, rows)
             x = x + y
             if cache is None:
-                caches.append(Sublayer(kind, prefix, c_ln, c_f, drop))
+                sublayers.append(Sublayer(kind, prefix, c_ln, c_f, drop))
     out, c_norm = _layer_norm_f(x, p, f"{stack}.norm")
-    return out, caches, c_norm
+    return out, Stack(c_emb, sublayers, c_norm)
 
 
-def _stack_b(dout, caches, c_norm, p, grads):
-    """Backward of ``_stack_f``: returns (dx, dmemory), dmemory None when no
-    sublayer attends over memory."""
-    dx = _layer_norm_b(dout, c_norm, grads)
+def _stack_b(dout, stack, p, grads):
+    """Backward of ``_stack_f``, embedding included: returns dmemory, None
+    when no sublayer attends over memory."""
+    dx = _layer_norm_b(dout, stack.norm, grads)
     dmem = None
-    for s in reversed(caches):
+    for s in reversed(stack.sublayers):
         dy = _dropout_b(dx, s.drop)
         if s.kind == "ffn":
             da = _ffn_b(dy, s.f, p, s.prefix, grads)
@@ -380,36 +390,7 @@ def _stack_b(dout, caches, c_norm, p, grads):
             else:
                 dmem = dkv if dmem is None else dmem + dkv
         dx = dx + _layer_norm_b(da, s.ln, grads)
-    return dx, dmem
-
-
-def _encode_f(p, cfg, src, src_rows, rng):
-    """The memory rows of the valid positions of ``src`` [B, S]."""
-    x, c_emb = _embed_f(p, cfg, src, src_rows, rng)
-    memory, caches, c_norm = _stack_f(x, p, cfg, "encoder", rng, src_rows)
-    return memory, (c_emb, caches, c_norm)
-
-
-def _encode_b(dmem, enc_caches, p, grads):
-    c_emb, caches, c_norm = enc_caches
-    _embed_b(_stack_b(dmem, caches, c_norm, p, grads)[0], c_emb, grads)
-
-
-def _decode_f(p, cfg, memory, src_rows, tgt_in, tgt_rows, rng):
-    """Logit rows of the valid positions of ``tgt_in`` [B, T]."""
-    y, c_emb = _embed_f(p, cfg, tgt_in, tgt_rows, rng)
-    yn, caches, c_norm = _stack_f(y, p, cfg, "decoder", rng, tgt_rows, memory, src_rows)
-    logits = yn @ p["output.weight"] + p["output.bias"]
-    return logits, (c_emb, caches, c_norm, yn)
-
-
-def _decode_b(dlogits, dec_caches, p, grads):
-    """Returns the gradient of the encoder memory."""
-    c_emb, caches, c_norm, yn = dec_caches
-    grads["output.weight"] += _weight_grad(yn, dlogits)
-    grads["output.bias"] += dlogits.sum(0)
-    dy, dmem = _stack_b(dlogits @ p["output.weight"].T, caches, c_norm, p, grads)
-    _embed_b(dy, c_emb, grads)
+    _embed_b(dx, stack.emb, grads)
     return dmem
 
 
@@ -474,18 +455,24 @@ def _layouts(src_valid, labels):
             _layout(labels >= 0, np.tril(np.ones((t, t), dtype=bool))[None, None]))
 
 
+# The teacher-forced pass: the encoder memory rows, the Stack of each side and
+# the decoder output rows that the output layer reads.
+Pass = namedtuple("Pass", "memory enc dec yn")
+
+
 def _forward(p, cfg, src_arr, src_valid, tgt_in, labels, rng=None):
     """The teacher-forced pass over a ``pack_batch`` batch. Returns (logits
     [N, C] and labels [N] of the supervised positions in row-major order,
-    caches)."""
+    Pass)."""
     if src_arr.shape[1] > cfg.max_src_len:
         raise ValueError(f"source longer than max_src_len={cfg.max_src_len}")
     if tgt_in.shape[1] > cfg.max_tgt_len:
         raise ValueError(f"target longer than max_tgt_len={cfg.max_tgt_len}")
     src_rows, tgt_rows = _layouts(src_valid, labels)
-    memory, enc_caches = _encode_f(p, cfg, src_arr, src_rows, rng)
-    logits, dec_caches = _decode_f(p, cfg, memory, src_rows, tgt_in, tgt_rows, rng)
-    return logits, _pack(labels, tgt_rows), (enc_caches, dec_caches)
+    memory, enc = _stack_f(src_arr, p, cfg, "encoder", rng, src_rows)
+    yn, dec = _stack_f(tgt_in, p, cfg, "decoder", rng, tgt_rows, memory, src_rows)
+    logits = yn @ p["output.weight"] + p["output.bias"]
+    return logits, _pack(labels, tgt_rows), Pass(memory, enc, dec, yn)
 
 
 def _nll(logp, labels):
@@ -500,9 +487,7 @@ def loss_from_logits(logits, labels):
 def loss_and_gradients(p, cfg: ModelConfig, batch, dropout_rng=None):
     """One forward-backward pass; returns (loss, grads keyed like params)."""
     src_arr, src_valid, tgt_in, labels = pack_batch(batch)
-    logits, target, (enc_caches, dec_caches) = _forward(
-        p, cfg, src_arr, src_valid, tgt_in, labels, dropout_rng
-    )
+    logits, target, run = _forward(p, cfg, src_arr, src_valid, tgt_in, labels, dropout_rng)
     logp = _log_softmax(logits)
     value = float(_nll(logp, target))
 
@@ -512,7 +497,10 @@ def loss_and_gradients(p, cfg: ModelConfig, batch, dropout_rng=None):
     dlogits /= n
 
     grads = {path: np.zeros_like(arr) for path, arr in p.items()}
-    _encode_b(_decode_b(dlogits, dec_caches, p, grads), enc_caches, p, grads)
+    grads["output.weight"] += _weight_grad(run.yn, dlogits)
+    grads["output.bias"] += dlogits.sum(0)
+    dmem = _stack_b(dlogits @ p["output.weight"].T, run.dec, p, grads)
+    _stack_b(dmem, run.enc, p, grads)
     return value, grads
 
 
@@ -531,7 +519,7 @@ def encode(p, cfg: ModelConfig, src_ids) -> np.ndarray:
     """Contextual memory [len(src), d_model] for one source sequence."""
     check_source(cfg, src_ids)
     arr = np.asarray([src_ids], dtype=np.int64)
-    return _encode_f(p, cfg, arr, Layout(None, arr.shape, None), None)[0]
+    return _stack_f(arr, p, cfg, "encoder", None, Layout(None, arr.shape, None))[0]
 
 
 @dataclass
@@ -591,10 +579,9 @@ def decoder_forward(p, cfg: ModelConfig, cache, tokens) -> np.ndarray:
     layer loop on that one new position per row, attending over the row's
     own memory, and appends its self-attention K/V to ``cache`` in place."""
     ids = np.asarray(tokens, dtype=np.int64)[:, None]
-    rows = Layout(None, ids.shape, None)
-    x = _embed_f(p, cfg, ids, rows, None, cache.layers[0]["self"][0].shape[2])[0]
     mem_rows = Layout(None, None, cache.keys)  # only the key mask is read
-    yn = _stack_f(x, p, cfg, "decoder", None, rows, memory_rows=mem_rows, cache=cache.layers)[0]
+    yn = _stack_f(ids, p, cfg, "decoder", None, Layout(None, ids.shape, None),
+                  memory_rows=mem_rows, cache=cache.layers)[0]
     return yn @ p["output.weight"] + p["output.bias"]
 
 
@@ -602,18 +589,16 @@ def forward_details(p, cfg: ModelConfig, src_ids, tgt_ids):
     """Attention maps and logits for one pair, from the teacher-forced
     training forward pass, for inspection and tests."""
     src_arr, src_valid, tgt_in, labels = pack_batch([(src_ids, tgt_ids)])
-    src_rows, tgt_rows = _layouts(src_valid, labels)  # all valid: rows are positions
-    memory, (_, enc, _) = _encode_f(p, cfg, src_arr, src_rows, None)
-    logits, (_, dec, _, _) = _decode_f(p, cfg, memory, src_rows, tgt_in, tgt_rows, None)
+    logits, _, run = _forward(p, cfg, src_arr, src_valid, tgt_in, labels)
 
-    def weights(caches, kind):
-        return [s.f.weights[0] for s in caches if s.kind == kind]
+    def weights(stack, kind):  # one valid example: rows are positions
+        return [s.f.weights[0] for s in stack.sublayers if s.kind == kind]
 
     return {
-        "memory": memory,
+        "memory": run.memory,
         "logits": logits,
         "labels": labels[0],
-        "enc_attn": weights(enc, "self"),
-        "dec_self_attn": weights(dec, "self"),
-        "dec_cross_attn": weights(dec, "cross"),
+        "enc_attn": weights(run.enc, "self"),
+        "dec_self_attn": weights(run.dec, "self"),
+        "dec_cross_attn": weights(run.dec, "cross"),
     }

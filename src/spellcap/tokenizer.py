@@ -27,7 +27,6 @@ EOW_TOKEN = "</w>"
 PAD_ID = 0
 BOS_ID = 1
 EOS_ID = 2
-UNK_ID = 3
 
 TARGET_CHARS = "abcdefghijklmnopqrstuvwxyz'-"
 

@@ -696,6 +696,19 @@ def test_eval_malformed_results_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("row, message", [
+    ("vera\tvera\t-0.5\tno results", "unknown prediction source 'no results'"),
+    ("vera\tvera\tno results\tseq2seq", "bad confidence 'no results'"),
+])
+def test_eval_malformed_row_naming_no_results_exits_3(tmp_path, capsys, row, message):
+    # only an empty results file is a usage error (exit 2); a bad row is bad
+    # data whatever its text says
+    res = tmp_path / "r.tsv"
+    res.write_text(row + "\n")
+    code, _, err = run(capsys, "eval", str(res))
+    assert code == 3 and "line 1:" in err and message in err
+
+
 @pytest.mark.parametrize("conf", ["nan", "inf", "-inf"])
 def test_eval_non_finite_confidence_exits_3(tmp_path, capsys, conf):
     res = tmp_path / "r.tsv"

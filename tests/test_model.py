@@ -132,6 +132,14 @@ def test_attention_rows_are_distributions(params):
     assert np.allclose(np.triu(w0[0], k=1), 0.0)
 
 
+def test_encode_is_the_training_pass_memory(params):
+    # the inference encoder and the teacher-forced pass run one encoder stack
+    for src, tgt in pairs(seed=11, n=5):
+        memory = M.forward_details(params, TINY, src, tgt)["memory"]
+        assert memory.shape == (len(src), TINY.d_model)
+        assert np.array_equal(M.encode(params, TINY, src), memory)
+
+
 def test_duplicating_batch_keeps_mean_loss(params):
     batch = pairs(seed=9, n=4)
     a = M.loss_and_gradients(params, TINY, batch)[0]

@@ -21,7 +21,8 @@ def small_model():
 
 
 def test_base_vocab_layout():
-    assert tk.PAD_ID == 0 and tk.BOS_ID == 1 and tk.EOS_ID == 2 and tk.UNK_ID == 3
+    assert tk.PAD_ID == 0 and tk.BOS_ID == 1 and tk.EOS_ID == 2
+    assert tk.BASE_TOKENS.index(tk.UNK_TOKEN) == 3
     assert tk.CHAR_IDS["a"] == 4
     assert tk.CHAR_IDS["z"] == 29
     assert tk.CHAR_IDS["'"] == 30
@@ -93,7 +94,7 @@ def test_empty_corpus_rejected():
 
 def test_unknown_characters_become_unk(small_model):
     ids = tk.bpe_encode(small_model, "a3b")
-    assert tk.UNK_ID in ids
+    assert small_model.vocab[tk.UNK_TOKEN] == 3 and 3 in ids
 
 
 def test_decode_rejects_unknown_id(small_model):
