@@ -138,6 +138,7 @@ def cmd_train(args) -> int:
     from .seq2seq import (
         ModelConfig,
         TrainConfig,
+        check_source,
         init_parameters,
         load_train_state,
         pairs_from_samples,
@@ -170,6 +171,18 @@ def cmd_train(args) -> int:
 
     train_pairs = pairs_from_samples(samples, bpe)
     dev_pairs = pairs_from_samples(dev_samples, bpe)
+    # a sample the model cannot take would stop training at the batch that
+    # draws it, so every pair is checked before the first step
+    for path, pairs in ((args.train, train_pairs), (args.dev, dev_pairs)):
+        for i, (src, tgt) in enumerate(pairs, start=1):
+            try:
+                check_source(model_cfg, src)
+            except ValueError as e:
+                raise DataFormatError(f"file {path} sample {i}: {e}") from None
+            if len(tgt) - 1 > model_cfg.max_tgt_len:
+                raise DataFormatError(f"file {path} sample {i}: gold name longer "
+                                      f"than {model_cfg.max_tgt_len - 1} characters "
+                                      f"(max_tgt_len - 1)")
     result = train(params, model_cfg, train_pairs, dev_pairs, train_cfg, state=state)
 
     save_checkpoint(args.out, result.params, model_cfg, bpe=bpe)
@@ -202,10 +215,8 @@ def cmd_predict(args) -> int:
     lines = _read_input_lines(args.input)
     numbered = [(no, l.strip()) for no, l in enumerate(lines, start=1) if l.strip()]
     if numbered and "|" in numbered[0][1]:
-        samples = parse_dataset_lines(lines, where=args.input)
-        # the parser validated every rank; each sample starts at a rank-1 line
-        starts = [no for no, l in numbered if int(l.split("|", 1)[0]) == 1]
-        items = [(no, s.nbest[0].text(), s.gold) for no, s in zip(starts, samples)]
+        items = [(no, s.nbest[0].text(), s.gold)
+                 for no, s in parse_dataset_lines(lines, where=args.input)]
     else:
         # raw text: the BPE vocabulary and the model are lowercase only
         items = [(no, l.lower(), "-") for no, l in numbered]

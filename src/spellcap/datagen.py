@@ -371,7 +371,8 @@ def _parse_line(line: str, line_no: int):
 
 
 def parse_dataset_lines(lines, where: str = "input") -> list:
-    """Parse the line format written by save_dataset, grouping on rank resets."""
+    """Parse the line format written by save_dataset, grouping on rank resets;
+    returns (line number of its rank-1 line, sample) per sample."""
     samples: list = []
     group: list = []
     group_gold = group_line = None
@@ -383,7 +384,7 @@ def parse_dataset_lines(lines, where: str = "input") -> list:
                 sample = LabeledSample(tuple(group), group_gold)
             except ValueError as e:  # e.g. more than 3 hypotheses
                 raise DataFormatError(str(e), line_no=group_line) from None
-            samples.append(sample)
+            samples.append((group_line, sample))
         group, group_gold = [], None
 
     for line_no, raw in enumerate(lines, start=1):
@@ -415,4 +416,4 @@ def parse_dataset_lines(lines, where: str = "input") -> list:
 
 def load_dataset(path) -> list:
     with open(path, encoding="utf-8") as fh:
-        return parse_dataset_lines(fh, where=f"file {path}")
+        return [s for _, s in parse_dataset_lines(fh, where=f"file {path}")]

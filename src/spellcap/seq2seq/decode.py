@@ -2,18 +2,17 @@
 
 Confidence is the total (length-unnormalized) log-probability of the emitted
 sequence including EOS; a length-normalized variant sits behind a flag. Every
-decoder runs one search over a chunk of utterances: the live hypotheses of
+decode runs one search over a chunk of utterances: the live hypotheses of
 every live utterance are stacked as rows of one incremental decoder call per
 step, each row attending over its own utterance's memory, and EOS is ranked
 against the other symbols inside each utterance's own top-k selection, so
-greedy decoding is the width-1 beam, ties and all. ``greedy_decode``,
-``beam_decode`` and ``predict_name`` are the chunk of one; ``predict_names``
-decodes a file's utterances ``CHUNK`` at a time through one search, and
-still hands each utterance to ``greedy_decode`` or ``beam_decode``, with its
-chunk's search and its index in it. A chunk's padding changes the shapes of
-the decoder's products, so a logprob can differ from decoding the utterance
-alone in the last digits (about 1e-14); the fixed chunk size keeps every run
-on the same input bit-identical.
+greedy decoding is the width-1 beam, ties and all. ``predict_names`` decodes
+``CHUNK`` utterances per search and hands each utterance's ``greedy_decode``
+or ``beam_decode`` call its chunk's search and its index in the chunk;
+``predict_name`` is ``predict_names`` of one utterance. A chunk's padding
+changes the shapes of the decoder's products, so a logprob can differ from
+decoding the utterance alone in the last digits (about 1e-14); the fixed
+chunk size keeps every run on the same input bit-identical.
 """
 
 from dataclasses import dataclass
@@ -102,24 +101,14 @@ def _search(p, cfg, sources, width):
     return out
 
 
-def _decode(p, cfg, src_ids, width, chunk):
-    """The results of ``src_ids``, searched alone, or read from the search of
-    its chunk: ``chunk`` is (that search, cached, the utterance's index)."""
-    if chunk is None:
-        return _search(p, cfg, [src_ids], width)[0]
-    search, k = chunk
+def greedy_decode(search, k: int) -> DecodeResult:
+    """The best result of utterance ``k`` of a width-1 chunk ``search``."""
+    return search()[k][0]
+
+
+def beam_decode(search, k: int) -> list[DecodeResult]:
+    """The results of utterance ``k`` of a chunk ``search``, sorted by logprob."""
     return search()[k]
-
-
-def greedy_decode(p, cfg: ModelConfig, src_ids, chunk=None) -> DecodeResult:
-    """Argmax characters until EOS or ``cfg.max_tgt_len`` emitted symbols."""
-    return _decode(p, cfg, src_ids, 1, chunk)[0]
-
-
-def beam_decode(p, cfg: ModelConfig, src_ids, beam_width: int,
-                chunk=None) -> list[DecodeResult]:
-    """Beam search of width ``beam_width``; returns results sorted by logprob."""
-    return _decode(p, cfg, src_ids, beam_width, chunk)
 
 
 def source_ids(cfg: ModelConfig, bpe, text: str) -> list[int]:
@@ -138,17 +127,11 @@ def _prediction(best: DecodeResult, length_normalize: bool) -> Prediction:
     return Prediction(best.name, conf, "seq2seq")
 
 
-def _best(p, cfg, src_ids, beam_width, chunk=None):
-    if beam_width == 1:
-        return greedy_decode(p, cfg, src_ids, chunk)
-    return beam_decode(p, cfg, src_ids, beam_width, chunk)[0]
-
-
 def predict_name(p, cfg: ModelConfig, bpe, text: str, beam_width: int = 1,
                  length_normalize: bool = False) -> Prediction:
     """Run the full pipeline on one lowercase hypothesis text."""
-    return _prediction(_best(p, cfg, source_ids(cfg, bpe, text), beam_width),
-                       length_normalize)
+    return predict_names(p, cfg, [source_ids(cfg, bpe, text)], beam_width,
+                         length_normalize)[0][0]
 
 
 def predict_names(p, cfg: ModelConfig, sources, beam_width: int,
@@ -163,6 +146,7 @@ def predict_names(p, cfg: ModelConfig, sources, beam_width: int,
         # of the decode calls holds each decoder step once
         chunk = sources[i:i + CHUNK]
         search = cache(partial(_search, p, cfg, chunk, beam_width))
-        best += [_best(p, cfg, src, beam_width, (search, k)) for k, src in enumerate(chunk)]
+        best += [greedy_decode(search, k) if beam_width == 1 else beam_decode(search, k)[0]
+                 for k in range(len(chunk))]
     return ([_prediction(b, length_normalize) for b in best],
             sum(not b.reached_eos for b in best))

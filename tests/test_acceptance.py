@@ -43,7 +43,7 @@ from spellcap.seq2seq import (
     save_checkpoint,
     train,
 )
-from spellcap.seq2seq.decode import beam_decode, greedy_decode
+from spellcap.seq2seq.decode import _search
 from spellcap.seq2seq.model import loss_and_gradients
 from spellcap.tokenizer import char_encode, learn_bpe
 
@@ -228,8 +228,8 @@ def test_structural_invariants_hold():
     short = replace(cfg, max_tgt_len=8)
     for seed in range(4):
         s = list(np.random.default_rng(seed).integers(4, 40, size=8))
-        g = greedy_decode(params, short, s)
-        b = beam_decode(params, short, s, 1)[0]
+        g = _search(params, short, [s], 1)[0][0]
+        b = _search(params, short, [s], 1)[0][0]
         assert b.name == g.name
         assert abs(b.logprob - g.logprob) <= 1e-9
 
@@ -252,8 +252,8 @@ def test_checkpoint_roundtrip_predictions_bit_identical(tmp_path):
     srcs = [list(np.random.default_rng(s).integers(4, 40, size=9))
             for s in range(6)]
     for src in srcs:
-        r1 = greedy_decode(ck1.params, replace(ck1.config, max_tgt_len=8), src)
-        r2 = greedy_decode(ck2.params, replace(ck2.config, max_tgt_len=8), src)
+        r1 = _search(ck1.params, replace(ck1.config, max_tgt_len=8), [src], 1)[0][0]
+        r2 = _search(ck2.params, replace(ck2.config, max_tgt_len=8), [src], 1)[0][0]
         assert r1.name == r2.name
         assert r1.logprob == r2.logprob  # bit-identical, no tolerance
     _mark("checkpoint save, load, predict is bit-identical across cycles")

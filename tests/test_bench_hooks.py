@@ -87,3 +87,25 @@ def test_chunked_predict_traces_every_utterance(tmp_path, beam_width, label):
     assert calls == pytest.approx(len(steps) / 20)
     assert values["seq2seq.decode.eos_fraction"][0] == pytest.approx(
         sum(s[INFO] for s in tracer.named(decoder)) / 20)
+
+
+@pytest.mark.parametrize("beam_width", [1, 4])
+def test_interactive_predict_name_traces_one_utterance(beam_width):
+    # the interactive workload calls predict_name once per utterance and
+    # width; each call must encode once and run every decoder step inside
+    # its one greedy or beam span
+    import spellcap.seq2seq as seq2seq
+
+    ck = seq2seq.load_checkpoint(
+        Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "model.ckpt")
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        seq2seq.predict_name(ck.params, ck.config, ck.bpe, "v e r a", beam_width=beam_width)
+    finally:
+        tracer.uninstall()
+    assert len(tracer.named("seq2seq.model.encode")) == 1
+    decoder = layers.DECODERS[beam_width > 1]
+    [span] = tracer.named(decoder)
+    steps = tracer.named("seq2seq.model.decoder_forward")
+    assert steps and all(tracer.ancestor(s, layers.DECODERS) is span for s in steps)

@@ -19,7 +19,7 @@ from spellcap.seq2seq import (
     save_checkpoint,
     save_train_state,
 )
-from spellcap.seq2seq.decode import greedy_decode
+from spellcap.seq2seq.decode import _search
 from spellcap.seq2seq.train import EpochStats, TrainState
 
 
@@ -63,11 +63,11 @@ def test_predictions_identical_after_two_load_cycles(tmp_path, params):
     ck1 = load_checkpoint(p1)
     save_checkpoint(p2, ck1.params, CFG, BPE)
     ck2 = load_checkpoint(p2)
-    g1 = greedy_decode(ck1.params, CFG, src)
-    g2 = greedy_decode(ck2.params, CFG, src)
+    g1 = _search(ck1.params, CFG, [src], 1)[0][0]
+    g2 = _search(ck2.params, CFG, [src], 1)[0][0]
     assert g1 == g2
     # and the name survives the original quantization
-    g0 = greedy_decode(params, CFG, src)
+    g0 = _search(params, CFG, [src], 1)[0][0]
     assert g0.name == g1.name
 
 

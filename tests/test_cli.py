@@ -317,6 +317,41 @@ def test_negative_n_merges_exits_2(pipeline, tmp_path, capsys):
     assert code == 2 and "n_merges must be non-negative, got -1" in err
 
 
+LONG_SOURCE = "1|" + "a/0.9 " * 240 + "|ann"
+
+
+@pytest.mark.parametrize("bad_file, bad_line, model_lines, resume, limit", [
+    ("dev", LONG_SOURCE, "", False, "max_src_len"),
+    ("train", LONG_SOURCE, "", False, "max_src_len"),
+    ("train", "1|j/0.9 e/0.9 n/0.9 n/0.9 i/0.9 f/0.9 e/0.9 r/0.9|jennifer",
+     "max_tgt_len=6\n", False, "max_tgt_len"),
+    ("dev", LONG_SOURCE, None, True, "max_src_len"),
+], ids=["dev_source", "train_source", "gold_name", "dev_source_on_resume"])
+def test_train_checks_every_sample_before_the_first_step(pipeline, tmp_path, capsys,
+                                                         bad_file, bad_line, model_lines,
+                                                         resume, limit):
+    # the bad sample is the second of its file, which training would reach
+    # only after the first epoch (dev) or at the batch that draws it (train)
+    files = {"train": tmp_path / "train.txt", "dev": tmp_path / "dev.txt"}
+    for name, path in files.items():
+        lines = ["1|v/0.9 e/0.9 r/0.9 a/0.9|vera", "1|j/0.9 o/0.9 n/0.9|jon"]
+        if name == bad_file:
+            lines[1] = bad_line
+        path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "x.ckpt"
+    argv = ["train", "--train", str(files["train"]), "--dev", str(files["dev"]),
+            "--out", str(out), "--epochs", "3"]
+    if resume:
+        argv += ["--resume", str(pipeline["ckpt"]) + ".resume"]
+    else:
+        mc = tmp_path / "model.txt"
+        mc.write_text(pipeline["mc"].read_text() + model_lines)
+        argv += ["--model-config", str(mc)]
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and f"file {files[bad_file]} sample 2: " in err and limit in err
+    assert not out.exists() and not (tmp_path / "x.ckpt.resume").exists()
+
+
 def test_predict_on_dataset_file(pipeline, capsys):
     out = pipeline["root"] / "pred.tsv"
     code, stdout, _ = run(capsys, "predict", "--checkpoint", str(pipeline["ckpt"]),
@@ -460,7 +495,7 @@ def test_chunked_predict_matches_per_line_predict_name(pipeline, tmp_path, capsy
 def test_predict_summary_on_stderr(pipeline, tmp_path, capsys):
     import re
 
-    from spellcap.seq2seq.decode import greedy_decode, source_ids
+    from spellcap.seq2seq.decode import _search, source_ids
 
     # a checkpoint that emits at most 2 characters, so some names are cut
     blob = pipeline["ckpt"].read_bytes()
@@ -475,8 +510,8 @@ def test_predict_summary_on_stderr(pipeline, tmp_path, capsys):
     assert code == 0 and stdout == f"wrote 6 predictions to {out}\n"
     ck = load_checkpoint(short)
     unfinished = sum(
-        not greedy_decode(ck.params, ck.config,
-                          source_ids(ck.config, ck.bpe, s.nbest[0].text())).reached_eos
+        not _search(ck.params, ck.config,
+                    [source_ids(ck.config, ck.bpe, s.nbest[0].text())], 1)[0][0].reached_eos
         for s in load_dataset(pipeline["dev"]))
     assert unfinished > 0
     summary = err.splitlines()[-1]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spellcap import tokenizer as tk
-from spellcap.seq2seq.decode import _search, beam_decode, greedy_decode, predict_name
+from spellcap.seq2seq.decode import _search, predict_name
 from spellcap.seq2seq.model import (
     ModelConfig,
     _log_softmax,
@@ -34,8 +34,8 @@ def random_sources(seed, n):
 def test_beam_width_one_equals_greedy(seed):
     params = init_parameters(CFG, seed=seed)
     for src in random_sources(seed + 10, 12):
-        g = greedy_decode(params, CFG, src)
-        b = beam_decode(params, CFG, src, 1)
+        g = _search(params, CFG, [src], 1)[0][0]
+        b = _search(params, CFG, [src], 1)[0]
         assert len(b) == 1
         assert b[0].name == g.name
         assert b[0].logprob == g.logprob
@@ -73,7 +73,7 @@ def test_wide_beam_matches_exhaustive_search(seed):
     params = init_parameters(CFG, seed=seed)
     for src in random_sources(seed + 20, 4):
         want_score, want_name = exhaustive_best(params, CFG, src, max_len=2)
-        top = beam_decode(params, replace(CFG, max_tgt_len=2), src, 900)[0]
+        top = _search(params, replace(CFG, max_tgt_len=2), [src], 900)[0][0]
         assert abs(top.logprob - want_score) < 1e-9
         assert top.name == want_name
 
@@ -102,10 +102,10 @@ def test_search_matches_full_recompute_reference(seed, eos_bias, max_len):
     for src in random_sources(seed + 30, 4):
         ref = full_recompute_scorer(params, CFG, src)
         want = [greedy_search(ref, limit)]
-        got = [greedy_decode(params, cfg, src)]
+        got = [_search(params, cfg, [src], 1)[0][0]]
         for width in range(1, 6):
             want += beam_search(ref, width, limit)
-            got += beam_decode(params, cfg, src, width)
+            got += _search(params, cfg, [src], width)[0]
         assert len(got) == len(want)
         for g, (classes, logprob, reached_eos) in zip(got, want):
             assert g.name == char_decode([BOS_ID] + [id_of_class(c) for c in classes])
@@ -128,7 +128,7 @@ def mixed_chunk_setup(seed):
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_chunked_search_matches_one_at_a_time(seed, width, chunk):
     params, cfg, sources = mixed_chunk_setup(seed)
-    alone = [beam_decode(params, cfg, src, width) for src in sources]
+    alone = [_search(params, cfg, [src], width)[0] for src in sources]
     ended = {r[0].reached_eos for r in alone}
     # some searches end with EOS and leave the chunk while others run on
     assert ended == {True, False}
@@ -150,7 +150,7 @@ def test_chunk_wider_than_every_candidate_pool():
     cfg = replace(cfg, max_tgt_len=2)
     got = _search(params, cfg, sources[:5], 900)
     for src, results in zip(sources[:5], got):
-        want = beam_decode(params, cfg, src, 900)
+        want = _search(params, cfg, [src], 900)[0]
         assert [r.name for r in results] == [r.name for r in want]
         assert max(abs(r.logprob - w.logprob) for r, w in zip(results, want)) <= 1e-9
 
@@ -158,7 +158,7 @@ def test_chunk_wider_than_every_candidate_pool():
 def test_beam_results_ranked_descending():
     params = init_parameters(CFG, seed=9)
     for src in random_sources(42, 8):
-        results = beam_decode(params, CFG, src, 4)
+        results = _search(params, CFG, [src], 4)[0]
         scores = [r.logprob for r in results]
         assert scores == sorted(scores, reverse=True)
         assert 1 <= len(results) <= 4
@@ -167,7 +167,7 @@ def test_beam_results_ranked_descending():
 def test_logprobs_nonpositive_and_sane():
     params = init_parameters(CFG, seed=5)
     src = random_sources(7, 1)[0]
-    g = greedy_decode(params, CFG, src)
+    g = _search(params, CFG, [src], 1)[0][0]
     assert g.logprob <= 0.0
     if g.reached_eos:
         # roughly uniform model: total close to (len+1) * log(1/29)
@@ -179,9 +179,9 @@ def test_truncation_at_max_len():
     params = init_parameters(CFG, seed=11)
     src = random_sources(13, 1)[0]
     short = replace(CFG, max_tgt_len=2)
-    g = greedy_decode(params, short, src)
+    g = _search(params, short, [src], 1)[0][0]
     assert len(g.name) <= 2
-    results = beam_decode(params, short, src, 3)
+    results = _search(params, short, [src], 3)[0]
     assert all(len(r.name) <= 2 for r in results)
     # a truncated result is flagged
     if not g.reached_eos:
@@ -191,7 +191,7 @@ def test_truncation_at_max_len():
 def test_beam_width_validation():
     params = init_parameters(CFG, seed=0)
     with pytest.raises(ValueError):
-        beam_decode(params, CFG, [4, 5], 0)
+        _search(params, CFG, [[4, 5]], 0)
 
 
 def test_predict_name_pipeline():
