@@ -14,11 +14,15 @@ and [B, T] (``pack_batch``), but every position-wise operation (embedding,
 layer norm, FFN, dropout, the q/k/v/o projections, the output layer and
 their weight gradients) runs on the valid positions alone, stacked as rows
 [N, D] in row-major (example, position) order; a ``Layout`` says which
-positions those are. Only attention needs the padded layout: its queries,
-keys and values are scattered to [B, H, L, D/H] with zero rows at padding,
-which the key mask keeps out of every valid row's softmax, and its context
-is gathered back to rows before ``wo``. When every position is valid (one
-utterance at inference), packing is a reshape and nothing is scattered.
+positions those are. Only attention needs a padded layout, and it runs in
+groups of up to ``GROUP_SIZE`` (8) examples of similar source length, each
+padded to its own longest member: the q/k/v projections run once over every
+row, then each group's queries, keys and values are gathered and scattered to
+[b, H, L, D/H] with zero rows at padding, which the key mask keeps out of
+every valid row's softmax, and each group's context is packed back into the
+rows before ``wo``. A batch of at most 8 examples, and every inference call,
+is one group. When every position is valid (one utterance at inference),
+packing is a reshape and nothing is scattered.
 Dropout masks are drawn over the padded shape and then packed, so the random
 stream does not depend on the padding.
 
@@ -142,28 +146,46 @@ def positional_encoding(length: int, d_model: int) -> np.ndarray:
 
 # The valid positions of a padded [B, L] batch: ``index`` holds their flat
 # indices into B * L in row-major order, or is None when every position is
-# valid; ``shape`` is (B, L); ``keys`` is the mask (see ``_attend``) of an
-# attention whose keys are these positions.
-Layout = namedtuple("Layout", "index shape keys")
+# valid; ``shape`` is (B, L). Attention runs per ``Group`` of examples, each
+# padded to its longest member: ``rows`` selects the group's positions among
+# the batch's valid rows (None for a group of the whole batch, in order),
+# ``index`` and ``shape`` lay them out as a [b, L] batch of their own, and
+# ``keys`` is the mask (see ``_attend``) of an attention whose keys are they.
+Group = namedtuple("Group", "rows index shape keys")
+Layout = namedtuple("Layout", "index shape groups")
+
+# examples per attention group of a training or evaluation batch
+GROUP_SIZE = 8
 
 
-def _layout(valid, keys):
-    return Layout(None if valid.all() else np.flatnonzero(valid), valid.shape, keys)
+def _index(valid):
+    return None if valid.all() else np.flatnonzero(valid)
+
+
+def _layout(valid, keys, members=None):
+    """The Layout of the valid positions ``valid`` [B, L], a prefix of each
+    example, whose groups hold the example index arrays ``members`` (None: one
+    group of the whole batch); ``keys(v)`` is the key mask of a group whose
+    valid positions are ``v``."""
+    if members is None:
+        return _whole(valid.shape, keys(valid), _index(valid))
+    number = np.cumsum(valid).reshape(valid.shape) - 1  # row of each position
+    groups = []
+    for m in members:
+        v = valid[m, : valid[m].sum(1).max()]
+        groups.append(Group(number[m, : v.shape[1]][v], _index(v), v.shape, keys(v)))
+    return Layout(_index(valid), valid.shape, tuple(groups))
+
+
+def _whole(shape, keys=None, index=None):
+    """The Layout whose one group is the whole batch, in order."""
+    return Layout(index, shape, (Group(None, index, shape, keys),))
 
 
 def _pack(x, rows):
     """[B, L, ...] -> the valid rows [N, ...] of the layout ``rows``."""
     flat = x.reshape(-1, *x.shape[2:])
     return flat if rows.index is None else flat[rows.index]
-
-
-def _unpack(x, rows):
-    """The valid rows [N, ...] -> [B, L, ...], zero at padding."""
-    if rows.index is not None:
-        full = np.zeros((math.prod(rows.shape), *x.shape[1:]))
-        full[rows.index] = x
-        x = full
-    return x.reshape(*rows.shape, *x.shape[1:])
 
 
 def _dropout_f(x, rate, rng, rows):
@@ -214,11 +236,16 @@ def _layer_norm_b(dy, cache, grads):
     )
 
 
-def _heads(x, w, rows, n_heads):
-    """``x @ w`` for the rows ``x`` laid out by ``rows``, padded and split
-    into heads [B, H, L, D/H]."""
-    y = x @ w
-    return _unpack(y.reshape(len(y), n_heads, -1), rows).transpose(0, 2, 1, 3)
+def _heads(x, group, n_heads):
+    """The rows of ``group`` among the rows ``x`` [N, D], padded with zero rows
+    to [b, L, D] and split into heads [b, H, L, D/H]."""
+    if group.rows is not None:
+        x = x[group.rows]
+    if group.index is not None:
+        full = np.zeros((math.prod(group.shape), x.shape[1]))
+        full[group.index] = x
+        x = full
+    return x.reshape(*group.shape, n_heads, -1).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x):
@@ -226,9 +253,21 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
+def _ungroup(parts, rows):
+    """The rows of each group of the layout ``rows``, one array per group,
+    back in the layout's row order."""
+    if len(parts) == 1:
+        return parts[0]
+    out = np.empty((sum(map(len, parts)), *parts[0].shape[1:]))
+    for part, group in zip(parts, rows.groups):
+        out[group.rows] = part
+    return out
+
+
 # ``xq``, ``xkv`` and ``ctx`` are rows laid out by ``q_rows``/``kv_rows``;
-# ``q``, ``k``, ``v`` are padded and head-split; ``weights`` holds the softmax
-# rows [B, H, query, key]
+# ``q``, ``k``, ``v`` and ``weights`` are lists with one entry per group: its
+# padded, head-split queries, keys and values and its softmax rows
+# [b, H, query, key]
 AttentionCache = namedtuple("AttentionCache",
                             "xq xkv q k v weights ctx scale q_rows kv_rows")
 
@@ -249,39 +288,53 @@ def _attend(q, k, v, mask):
 
 def _attention_f(xq, xkv, p, prefix, n_heads, q_rows, kv_rows, past=None):
     """Multi-head attention of the rows ``xq`` (laid out by ``q_rows``) over
-    the rows ``xkv`` (laid out by ``kv_rows``, whose ``keys`` mask applies),
-    appended to ``past``, the head-split keys and values of earlier calls, if
-    given; with ``xkv`` None, ``past`` alone are the keys and values."""
-    q = _heads(xq, p[prefix + ".wq"], q_rows, n_heads)
-    if xkv is None:
-        k, v = past
-    else:
-        k = _heads(xkv, p[prefix + ".wk"], kv_rows, n_heads)
-        v = _heads(xkv, p[prefix + ".wv"], kv_rows, n_heads)
-        if past is not None:
-            k, v = np.concatenate([past[0], k], 2), np.concatenate([past[1], v], 2)
-    weights, ctx, scale = _attend(q, k, v, kv_rows.keys)
-    ctx = _pack(ctx, q_rows)
-    return ctx @ p[prefix + ".wo"], AttentionCache(xq, xkv, q, k, v, weights, ctx, scale, q_rows, kv_rows)
+    the rows ``xkv`` (laid out by ``kv_rows``, whose group ``keys`` masks
+    apply), group k of the queries over group k of the keys, appended to
+    ``past``, the head-split keys and values of earlier calls, if given; with
+    ``xkv`` None, ``past`` alone are the keys and values. ``past`` is only
+    given for layouts of one group."""
+    q = xq @ p[prefix + ".wq"]
+    if xkv is not None:
+        k, v = xkv @ p[prefix + ".wk"], xkv @ p[prefix + ".wv"]
+    qs, ks, vs, ws, ctx = [], [], [], [], []  # one entry per group
+    for gq, gkv in zip(q_rows.groups, kv_rows.groups):
+        if xkv is None:
+            kg, vg = past
+        else:
+            kg, vg = _heads(k, gkv, n_heads), _heads(v, gkv, n_heads)
+            if past is not None:
+                kg, vg = np.concatenate([past[0], kg], 2), np.concatenate([past[1], vg], 2)
+        qg = _heads(q, gq, n_heads)
+        weights, c, scale = _attend(qg, kg, vg, gkv.keys)
+        qs.append(qg)
+        ks.append(kg)
+        vs.append(vg)
+        ws.append(weights)
+        ctx.append(_pack(c, gq))
+    ctx = _ungroup(ctx, q_rows)
+    return ctx @ p[prefix + ".wo"], AttentionCache(xq, xkv, qs, ks, vs, ws, ctx, scale, q_rows, kv_rows)
 
 
 def _attention_b(dy, cache, p, prefix, grads):
-    xq, xkv, q, k, v, weights, ctx, scale, q_rows, kv_rows = cache
+    xq, xkv, qs, ks, vs, ws, ctx, scale, q_rows, kv_rows = cache
     wq, wk, wv, wo = (p[f"{prefix}.{w}"] for w in ("wq", "wk", "wv", "wo"))
-    n_heads = q.shape[1]
+    n_heads = qs[0].shape[1]
 
     grads[f"{prefix}.wo"] += _weight_grad(ctx, dy)
-    dctx = _heads(dy, wo.T, q_rows, n_heads)
-    dw = dctx @ v.swapaxes(-1, -2)
-    dv = weights.swapaxes(-1, -2) @ dctx
-    # softmax rows: masked entries carry weight exactly 0, so ds vanishes there
-    ds = weights * (dw - (dw * weights).sum(-1, keepdims=True))
-    ds *= scale
-    dq = ds @ k
-    dk = ds.swapaxes(-1, -2) @ q
+    dctx = dy @ wo.T
+    dq, dk, dv = [], [], []
+    for q, k, v, weights, gq, gkv in zip(qs, ks, vs, ws, q_rows.groups, kv_rows.groups):
+        dc = _heads(dctx, gq, n_heads)
+        dw = dc @ v.swapaxes(-1, -2)
+        # softmax rows: masked entries carry weight exactly 0, so ds vanishes there
+        ds = weights * (dw - (dw * weights).sum(-1, keepdims=True))
+        ds *= scale
+        dq.append(_pack(_merge_heads(ds @ k), gq))
+        dk.append(_pack(_merge_heads(ds.swapaxes(-1, -2) @ q), gkv))
+        dv.append(_pack(_merge_heads(weights.swapaxes(-1, -2) @ dc), gkv))
 
-    dq_m = _pack(_merge_heads(dq), q_rows)
-    dk_m, dv_m = _pack(_merge_heads(dk), kv_rows), _pack(_merge_heads(dv), kv_rows)
+    dq_m = _ungroup(dq, q_rows)
+    dk_m, dv_m = _ungroup(dk, kv_rows), _ungroup(dv, kv_rows)
     grads[f"{prefix}.wq"] += _weight_grad(xq, dq_m)
     grads[f"{prefix}.wk"] += _weight_grad(xkv, dk_m)
     grads[f"{prefix}.wv"] += _weight_grad(xkv, dv_m)
@@ -348,9 +401,9 @@ def _stack_f(ids, p, cfg, stack, rng, rows, memory=None, memory_rows=None, cache
     ``memory_rows``. With a ``cache`` (the ``layers`` of a ``DecoderCache``),
     ``ids`` follow the cached positions, each attention runs over its entry,
     as ``_attention_f``'s ``past``, and writes its full K/V back; ``memory``
-    is then None, ``memory_rows.keys`` masks the cached "cross" K/V, the
-    projected memory, and no sublayer cache is kept. Returns (output rows,
-    Stack)."""
+    is then None, the ``keys`` of ``memory_rows``'s one group mask the cached
+    "cross" K/V, the projected memory, and no sublayer cache is kept. Returns
+    (output rows, Stack)."""
     start = 0 if cache is None else cache[0]["self"][0].shape[2]
     x, c_emb = _embed_f(p, cfg, ids, rows, rng, start)
     sublayers = []
@@ -364,8 +417,8 @@ def _stack_f(ids, p, cfg, stack, rng, rows, memory=None, memory_rows=None, cache
                 xkv, kv_rows = (a, rows) if kind == "self" else (memory, memory_rows)
                 past = None if cache is None else cache[i][kind]
                 y, c_f = _attention_f(a, xkv, p, prefix, cfg.n_heads, rows, kv_rows, past)
-                if cache is not None:
-                    cache[i][kind] = c_f.k, c_f.v
+                if cache is not None:  # one group
+                    cache[i][kind] = c_f.k[0], c_f.v[0]
             y, drop = _dropout_f(y, cfg.dropout, rng, rows)
             x = x + y
             if cache is None:
@@ -446,13 +499,29 @@ def _log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(-1, keepdims=True))
 
 
+def _source_keys(valid):
+    """The key mask of the source positions ``valid`` [B, S]: padding is
+    masked, and there is no mask when every position is valid."""
+    return None if valid.all() else valid[:, None, None, :]
+
+
+def _causal_keys(valid):
+    t = valid.shape[1]
+    return np.tril(np.ones((t, t), dtype=bool))[None, None]
+
+
 def _layouts(src_valid, labels):
-    """The source layout, whose padded keys are masked (no mask when every
-    position is valid), and the target layout of the supervised positions,
-    whose keys are masked causally; target padding only ever follows them."""
-    t = labels.shape[1]
-    return (_layout(src_valid, None if src_valid.all() else src_valid[:, None, None, :]),
-            _layout(labels >= 0, np.tril(np.ones((t, t), dtype=bool))[None, None]))
+    """The source layout and the target layout of the supervised positions,
+    whose keys are masked causally; target padding only ever follows them.
+    Both group the examples alike: sorted by source length (a stable sort)
+    and split into ceil(B / GROUP_SIZE) groups, or one group of the whole
+    batch in order when that is one."""
+    n_groups = -(-len(src_valid) // GROUP_SIZE)
+    members = None
+    if n_groups > 1:
+        members = np.array_split(np.argsort(src_valid.sum(1), kind="stable"), n_groups)
+    return (_layout(src_valid, _source_keys, members),
+            _layout(labels >= 0, _causal_keys, members))
 
 
 # The teacher-forced pass: the encoder memory rows, the Stack of each side and
@@ -519,7 +588,7 @@ def encode(p, cfg: ModelConfig, src_ids) -> np.ndarray:
     """Contextual memory [len(src), d_model] for one source sequence."""
     check_source(cfg, src_ids)
     arr = np.asarray([src_ids], dtype=np.int64)
-    return _stack_f(arr, p, cfg, "encoder", None, Layout(None, arr.shape, None))[0]
+    return _stack_f(arr, p, cfg, "encoder", None, _whole(arr.shape))[0]
 
 
 @dataclass
@@ -528,14 +597,15 @@ class DecoderCache:
     live hypothesis. ``layers`` holds, per decoder layer, the head-split
     (keys, values) [rows, H, len, D/H] of its "self" attention over the
     decoded prefix and of its "cross" attention over the row's memory,
-    padded to the longest source of the chunk, with ``keys`` the mask of
-    those memory keys (None: all attendable). ``owner`` is the utterance of
-    each row, or None for a chunk of one, whose single cross row every row
-    shares."""
+    padded to the longest source of the chunk. ``memory_rows`` is the layout
+    the "cross" attention reads; only the ``keys`` of its one group, the mask
+    of those memory keys per row (None: all attendable), are set. ``owner``
+    is the utterance of each row, or None for a chunk of one, whose single
+    cross row every row shares."""
 
     layers: list[dict]
     owner: np.ndarray | None
-    keys: np.ndarray | None
+    memory_rows: Layout
 
 
 def decoder_cache(p, cfg: ModelConfig, memories) -> DecoderCache:
@@ -544,15 +614,15 @@ def decoder_cache(p, cfg: ModelConfig, memories) -> DecoderCache:
     lengths = np.array([len(m) for m in memories])
     valid = np.arange(lengths.max()) < lengths[:, None]
     # no key mask when every key is attendable, as for one utterance
-    mem_rows = _layout(valid, None if valid.all() else valid[:, None, None, :])
+    mem_rows = _layout(valid, _source_keys)
     memory = np.concatenate(memories)
     empty = np.zeros((len(memories), cfg.n_heads, 0, cfg.d_model // cfg.n_heads))
     layers = [{"self": (empty, empty),
-               "cross": tuple(_heads(memory, p[f"decoder.{i}.cross_attn.{w}"], mem_rows,
-                                     cfg.n_heads) for w in ("wk", "wv"))}
+               "cross": tuple(_heads(memory @ p[f"decoder.{i}.cross_attn.{w}"],
+                                     mem_rows.groups[0], cfg.n_heads) for w in ("wk", "wv"))}
               for i in range(cfg.n_layers)]
     owner = np.arange(len(memories)) if len(memories) > 1 else None
-    return DecoderCache(layers, owner, mem_rows.keys)
+    return DecoderCache(layers, owner, _whole(None, mem_rows.groups[0].keys))
 
 
 def reindex_cache(cache: DecoderCache, rows) -> None:
@@ -569,8 +639,9 @@ def reindex_cache(cache: DecoderCache, rows) -> None:
     cache.owner = owner
     for layer in cache.layers:
         layer["cross"] = tuple(kv[rows] for kv in layer["cross"])
-    if cache.keys is not None:
-        cache.keys = cache.keys[rows]
+    keys = cache.memory_rows.groups[0].keys
+    if keys is not None:
+        cache.memory_rows = _whole(None, keys[rows])
 
 
 def decoder_forward(p, cfg: ModelConfig, cache, tokens) -> np.ndarray:
@@ -579,9 +650,8 @@ def decoder_forward(p, cfg: ModelConfig, cache, tokens) -> np.ndarray:
     layer loop on that one new position per row, attending over the row's
     own memory, and appends its self-attention K/V to ``cache`` in place."""
     ids = np.asarray(tokens, dtype=np.int64)[:, None]
-    mem_rows = Layout(None, None, cache.keys)  # only the key mask is read
-    yn = _stack_f(ids, p, cfg, "decoder", None, Layout(None, ids.shape, None),
-                  memory_rows=mem_rows, cache=cache.layers)[0]
+    yn = _stack_f(ids, p, cfg, "decoder", None, _whole(ids.shape),
+                  memory_rows=cache.memory_rows, cache=cache.layers)[0]
     return yn @ p["output.weight"] + p["output.bias"]
 
 
@@ -591,8 +661,8 @@ def forward_details(p, cfg: ModelConfig, src_ids, tgt_ids):
     src_arr, src_valid, tgt_in, labels = pack_batch([(src_ids, tgt_ids)])
     logits, _, run = _forward(p, cfg, src_arr, src_valid, tgt_in, labels)
 
-    def weights(stack, kind):  # one valid example: rows are positions
-        return [s.f.weights[0] for s in stack.sublayers if s.kind == kind]
+    def weights(stack, kind):  # one group of one valid example: rows are positions
+        return [s.f.weights[0][0] for s in stack.sublayers if s.kind == kind]
 
     return {
         "memory": run.memory,

@@ -3,7 +3,8 @@
 Everything here is written the dumbest defensible way (plain recursion, full
 recomputation per point) so it shares no code path with the package. The
 builders ``learn_bpe_recount`` and ``hypothesis_from_text`` only wrap their
-results in package types.
+results in package types, and ``full_recompute_scorer`` scores a prefix with
+the package's teacher-forced forward pass, never its incremental decoder.
 """
 
 import math
@@ -11,7 +12,16 @@ from collections import Counter
 from functools import lru_cache
 
 from spellcap.baseline import AsrHypothesis, AsrToken
-from spellcap.tokenizer import BASE_TOKENS, CHAR_IDS, EOW_TOKEN, UNK_TOKEN, BpeModel
+from spellcap.seq2seq.model import _log_softmax, forward_details, id_of_class
+from spellcap.tokenizer import (
+    BASE_TOKENS,
+    BOS_ID,
+    CHAR_IDS,
+    EOS_ID,
+    EOW_TOKEN,
+    UNK_TOKEN,
+    BpeModel,
+)
 
 
 def pair_counts(corpus):
@@ -80,6 +90,17 @@ def fd_gradient(loss_fn, params, path, coords, h=1e-4):
         flat[c] = keep
         out.append((up - down) / (2.0 * h))
     return out
+
+
+def full_recompute_scorer(params, cfg, src):
+    """The reference's next-class log-probabilities: one teacher-forced
+    training forward pass over the whole prefix per call."""
+
+    def next_logprobs(classes):
+        tgt = [BOS_ID] + [id_of_class(c) for c in classes] + [EOS_ID]
+        return _log_softmax(forward_details(params, cfg, src, tgt)["logits"][-1])
+
+    return next_logprobs
 
 
 def greedy_search(next_logprobs, max_len):

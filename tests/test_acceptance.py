@@ -44,10 +44,18 @@ from spellcap.seq2seq import (
     train,
 )
 from spellcap.seq2seq.decode import _search
-from spellcap.seq2seq.model import loss_and_gradients
-from spellcap.tokenizer import char_encode, learn_bpe
+from spellcap.seq2seq.model import id_of_class, loss_and_gradients
+from spellcap.tokenizer import BOS_ID, char_decode, char_encode, learn_bpe
 
-from oracles import er_sweep, fd_gradient, hypothesis_from_text, lev_recursive, wer_recursive
+from oracles import (
+    er_sweep,
+    fd_gradient,
+    full_recompute_scorer,
+    greedy_search,
+    hypothesis_from_text,
+    lev_recursive,
+    wer_recursive,
+)
 
 
 def _mark(line):
@@ -224,14 +232,16 @@ def test_structural_invariants_hold():
             sums = layer.sum(-1)
             assert np.max(np.abs(sums - 1.0)) <= 1e-6
 
-    # width-1 beam and greedy are the same decoder
+    # width-1 beam and greedy are the same decoder: the width-1 search against
+    # greedy decoding that rescores every prefix with the training forward pass
     short = replace(cfg, max_tgt_len=8)
     for seed in range(4):
         s = list(np.random.default_rng(seed).integers(4, 40, size=8))
-        g = _search(params, short, [s], 1)[0][0]
+        classes, logprob, reached_eos = greedy_search(full_recompute_scorer(params, cfg, s), 8)
         b = _search(params, short, [s], 1)[0][0]
-        assert b.name == g.name
-        assert abs(b.logprob - g.logprob) <= 1e-9
+        assert b.name == char_decode([BOS_ID] + [id_of_class(c) for c in classes])
+        assert b.reached_eos == reached_eos
+        assert abs(b.logprob - logprob) <= 1e-9
 
     _mark("causality to 1e-9, attention rows normalized to 1e-6, "
           "beam width 1 equals greedy")

@@ -14,7 +14,7 @@ from spellcap.seq2seq.model import (
 )
 from spellcap.tokenizer import BOS_ID, EOS_ID, char_decode
 
-from oracles import beam_search, greedy_search
+from oracles import beam_search, full_recompute_scorer, greedy_search
 
 
 CFG = ModelConfig(
@@ -32,14 +32,17 @@ def random_sources(seed, n):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_beam_width_one_equals_greedy(seed):
+    # the width-1 search against greedy decoding that rescores every prefix
+    # with the teacher-forced forward pass
     params = init_parameters(CFG, seed=seed)
     for src in random_sources(seed + 10, 12):
-        g = _search(params, CFG, [src], 1)[0][0]
+        classes, logprob, reached_eos = greedy_search(
+            full_recompute_scorer(params, CFG, src), CFG.max_tgt_len)
         b = _search(params, CFG, [src], 1)[0]
         assert len(b) == 1
-        assert b[0].name == g.name
-        assert b[0].logprob == g.logprob
-        assert b[0].reached_eos == g.reached_eos
+        assert b[0].name == char_decode([BOS_ID] + [id_of_class(c) for c in classes])
+        assert b[0].reached_eos == reached_eos
+        assert abs(b[0].logprob - logprob) <= 1e-9
 
 
 def exhaustive_best(params, cfg, src, max_len):
@@ -76,17 +79,6 @@ def test_wide_beam_matches_exhaustive_search(seed):
         top = _search(params, replace(CFG, max_tgt_len=2), [src], 900)[0][0]
         assert abs(top.logprob - want_score) < 1e-9
         assert top.name == want_name
-
-
-def full_recompute_scorer(params, cfg, src):
-    """The reference's next-class log-probabilities: one teacher-forced
-    training forward pass over the whole prefix per call."""
-
-    def next_logprobs(classes):
-        tgt = [BOS_ID] + [id_of_class(c) for c in classes] + [EOS_ID]
-        return _log_softmax(forward_details(params, cfg, src, tgt)["logits"][-1])
-
-    return next_logprobs
 
 
 @pytest.mark.parametrize("seed", [0, 1])

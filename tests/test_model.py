@@ -237,6 +237,82 @@ def test_batch_step_is_the_length_weighted_sum_of_single_steps(params, lengths, 
         assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), path
 
 
+def mixed_batch(rng, lengths):
+    """(source, target) pairs of the given (source, target class) lengths."""
+    return [([int(x) for x in rng.integers(4, 36, size=s)],
+             [1] + [M.id_of_class(int(c)) for c in rng.integers(1, M.N_CLASSES, size=t)] + [2])
+            for s, t in lengths]
+
+
+@given(lengths=st.lists(st.tuples(st.integers(1, 40), st.integers(0, 11)),
+                        min_size=9, max_size=40),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=20, deadline=None)
+def test_grouped_step_equals_the_one_group_step(lengths, seed):
+    # batches of more than GROUP_SIZE examples attend in groups; with the
+    # group size covering the batch they attend as one padded group
+    cfg = M.ModelConfig(vocab_size=40, n_layers=2, n_heads=2, d_model=8, d_ff=16,
+                        dropout=0.25, max_src_len=40, max_tgt_len=16)
+    p = M.init_parameters(cfg, seed=seed)
+    batch = mixed_batch(np.random.default_rng(seed), lengths)
+    _, src_valid, _, labels = M.pack_batch(batch)
+    layouts = M._layouts(src_valid, labels)
+    assert len(layouts[0].groups) == -(-len(batch) // M.GROUP_SIZE) >= 2
+    members = []
+    for layout, valid in zip(layouts, (src_valid, labels >= 0)):
+        # each group row is one example: its own positions, in order, then padding
+        example = np.repeat(np.arange(len(batch)), valid.sum(1))
+        position = np.concatenate([np.arange(n) for n in valid.sum(1)])
+        order = []
+        for g in layout.groups:
+            ids = (M._heads(np.stack([example, position], 1) + 1, g, 1)[:, 0] - 1).astype(int)
+            assert len(g.rows) == valid[ids[:, 0, 0]].sum()
+            for b in range(g.shape[0]):
+                n = valid[ids[b, 0, 0]].sum()
+                assert (ids[b, :n, 0] == ids[b, 0, 0]).all()
+                assert (ids[b, :n, 1] == np.arange(n)).all() and (ids[b, n:] == -1).all()
+            # padded to the group's longest member
+            assert g.shape[1] == valid[ids[:, 0, 0]].sum(1).max()
+            order.append(ids[:, 0, 0])
+        members.append(order)
+    # source and target groups hold the same examples, every example once
+    assert all((a == b).all() for a, b in zip(*members))
+    assert sorted(np.concatenate(members[0])) == list(range(len(batch)))
+
+    value, grads = M.loss_and_gradients(p, cfg, batch, dropout_rng=np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(M, "GROUP_SIZE", len(batch))
+        assert len(M._layouts(src_valid, labels)[0].groups) == 1
+        want, want_grads = M.loss_and_gradients(p, cfg, batch,
+                                                dropout_rng=np.random.default_rng(seed))
+    assert abs(value - want) <= 1e-12 * want
+    for path, g in grads.items():
+        assert np.max(np.abs(g - want_grads[path])) <= 1e-12 * np.max(np.abs(want_grads[path])), path
+
+
+def test_gradients_match_finite_differences_through_groups(params):
+    rng = np.random.default_rng(3)
+    lengths = [(int(s), int(t)) for s, t in zip(rng.integers(1, 31, size=17),
+                                                rng.integers(0, 10, size=17))]
+    batch = mixed_batch(rng, lengths)
+    assert len(M._layouts(*M.pack_batch(batch)[1::2])[0].groups) == 3
+    grads = M.loss_and_gradients(params, TINY, batch)[1]
+    used = sorted({tok for src, tgt in batch for tok in src + tgt[:-1]})
+    for path in ("encoder.0.attn.wk", "decoder.0.cross_attn.wq", "decoder.1.self_attn.wv",
+                 "embedding"):
+        flat = grads[path].reshape(-1)
+        if path == "embedding":  # rows of tokens in the batch; the rest have no gradient
+            coords = [tok * TINY.d_model + int(rng.integers(TINY.d_model))
+                      for tok in rng.choice(used, size=4, replace=False)]
+        else:
+            coords = rng.choice(flat.size, size=4, replace=False)
+        fd = fd_gradient(lambda p: M.loss_and_gradients(p, TINY, batch)[0], params, path,
+                         coords)
+        for c, num in zip(coords, fd):
+            rel = abs(flat[c] - num) / max(abs(flat[c]), abs(num), 1e-8)
+            assert rel <= 1e-4, (path, c, flat[c], num)
+
+
 # loss and per-tensor (sum, sum of |g|) of one mixed-length step with dropout,
 # recorded from the padded implementation the packed one replaced
 PINNED_LOSS = 3.5025742517395453
