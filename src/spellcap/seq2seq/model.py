@@ -82,22 +82,32 @@ LAYERS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _names(stack, n_layers):
+    """``stack``'s parameter names, formatted once: per sublayer in order (layer,
+    kind, layer-norm (gain, bias), body prefix), then the final norm's (gain, bias)."""
+    def norm(prefix):
+        return f"{prefix}.gain", f"{prefix}.bias"
+    return (tuple((i, kind, norm(f"{stack}.{i}.{ln}"), f"{stack}.{i}.{body}")
+                  for i in range(n_layers) for kind, ln, body in LAYERS[stack]),
+            norm(f"{stack}.norm"))
+
+
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter path with its shape, in canonical (checkpoint) order."""
     d, f = cfg.d_model, cfg.d_ff
     shapes: dict[str, tuple[int, ...]] = {"embedding": (cfg.vocab_size, d)}
-    for stack, layer in LAYERS.items():
-        for i in range(cfg.n_layers):
-            for kind, ln, body in layer:
-                shapes[f"{stack}.{i}.{ln}.gain"] = shapes[f"{stack}.{i}.{ln}.bias"] = (d,)
-                prefix = f"{stack}.{i}.{body}"
-                if kind == "ffn":
-                    shapes.update({f"{prefix}.w1": (d, f), f"{prefix}.b1": (f,),
-                                   f"{prefix}.w2": (f, d), f"{prefix}.b2": (d,)})
-                else:
-                    shapes.update({f"{prefix}.{w}": (d, d)
-                                   for w in ("wq", "wk", "wv", "wo")})
-        shapes[f"{stack}.norm.gain"] = shapes[f"{stack}.norm.bias"] = (d,)
+    for stack in LAYERS:
+        sublayers, norm = _names(stack, cfg.n_layers)
+        for _, kind, ln, prefix in sublayers:
+            shapes.update(dict.fromkeys(ln, (d,)))
+            if kind == "ffn":
+                shapes.update({f"{prefix}.w1": (d, f), f"{prefix}.b1": (f,),
+                               f"{prefix}.w2": (f, d), f"{prefix}.b2": (d,)})
+            else:
+                shapes.update({f"{prefix}.{w}": (d, d)
+                               for w in ("wq", "wk", "wv", "wo")})
+        shapes.update(dict.fromkeys(norm, (d,)))
     shapes["output.weight"] = (d, N_CLASSES)
     shapes["output.bias"] = (N_CLASSES,)
     return shapes
@@ -209,31 +219,32 @@ def _weight_grad(x, dy):
 _LN_EPS = 1e-5
 
 
-def _layer_norm_f(x, p, prefix):
-    """Layer norm with the parameters ``{prefix}.gain`` and ``{prefix}.bias``."""
-    d = x.shape[-1]  # np.add.reduce / d is ndarray.mean without its Python layer
-    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
-    xc = x - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
+@lru_cache(maxsize=8)
+def _mean_column(d):
+    """The read-only [d, 1] column of 1/d: rows [N, d] times it are their means."""
+    col = np.full((d, 1), 1.0 / d)
+    col.setflags(write=False)
+    return col
+
+
+def _layer_norm_f(x, p, names):
+    """Layer norm of the rows ``x`` [N, D]; ``names`` are its (gain, bias)."""
+    col = _mean_column(x.shape[-1])
+    xc = x - x @ col
+    inv = 1.0 / np.sqrt((xc * xc) @ col + _LN_EPS)
     xhat = xc * inv
-    gain = p[f"{prefix}.gain"]
-    return xhat * gain + p[f"{prefix}.bias"], (prefix, xhat, inv, gain)
+    gain = p[names[0]]
+    return xhat * gain + p[names[1]], (names, xhat, inv, gain, col)
 
 
 def _layer_norm_b(dy, cache, grads):
     """Backward over rows [N, D]: adds the gain and bias gradients to
     ``grads``; returns dx."""
-    prefix, xhat, inv, gain = cache
-    grads[f"{prefix}.gain"] += (dy * xhat).sum(0)
-    grads[f"{prefix}.bias"] += dy.sum(0)
+    names, xhat, inv, gain, col = cache
+    grads[names[0]] += (dy * xhat).sum(0)
+    grads[names[1]] += dy.sum(0)
     dxhat = dy * gain
-    d = dy.shape[-1]
-    return inv * (
-        dxhat
-        - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
-        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
-    )
+    return inv * (dxhat - dxhat @ col - xhat * ((dxhat * xhat) @ col))
 
 
 def _heads(x, group, n_heads):
@@ -275,7 +286,7 @@ AttentionCache = namedtuple("AttentionCache",
 def _attend(q, k, v, mask):
     """Softmax attention of head-split queries over keys and values; ``mask``
     is a broadcastable boolean with True at attendable (query, key) pairs, or
-    None when every pair is. Returns (weights, merged context, scale)."""
+    None when every pair is. Returns (weights, head-split context, scale)."""
     scale = 1.0 / math.sqrt(q.shape[-1])
     scores = (q @ k.swapaxes(-1, -2)) * scale
     if mask is not None:
@@ -283,34 +294,36 @@ def _attend(q, k, v, mask):
     scores -= scores.max(-1, keepdims=True)
     expd = np.exp(scores)
     weights = expd / expd.sum(-1, keepdims=True)
-    return weights, _merge_heads(weights @ v), scale
+    return weights, weights @ v, scale
 
 
 def _attention_f(xq, xkv, p, prefix, n_heads, q_rows, kv_rows, past=None):
     """Multi-head attention of the rows ``xq`` (laid out by ``q_rows``) over
     the rows ``xkv`` (laid out by ``kv_rows``, whose group ``keys`` masks
-    apply), group k of the queries over group k of the keys, appended to
-    ``past``, the head-split keys and values of earlier calls, if given; with
-    ``xkv`` None, ``past`` alone are the keys and values. ``past`` is only
-    given for layouts of one group."""
+    apply), group k of the queries over group k of the keys. With ``past``,
+    the head-split K/V [rows, H, len, D/H] of earlier steps, it is a decode
+    step of one group and one new position per row that keeps nothing for a
+    backward pass: the K/V of ``xkv``, unless None, are appended to ``past``
+    and the full (K, V) are returned in place of a cache."""
     q = xq @ p[prefix + ".wq"]
-    if xkv is not None:
-        k, v = xkv @ p[prefix + ".wk"], xkv @ p[prefix + ".wv"]
+    if past is not None:
+        k, v = past
+        if xkv is not None:
+            k, v = (np.concatenate([kv, (xkv @ p[prefix + w]).reshape(*kv.shape[:2], 1, -1)], 2)
+                    for kv, w in zip(past, (".wk", ".wv")))
+        c = _attend(q.reshape(len(xq), n_heads, 1, -1), k, v, kv_rows.groups[0].keys)[1]
+        return c.reshape(len(xq), -1) @ p[prefix + ".wo"], (k, v)
+    k, v = xkv @ p[prefix + ".wk"], xkv @ p[prefix + ".wv"]
     qs, ks, vs, ws, ctx = [], [], [], [], []  # one entry per group
     for gq, gkv in zip(q_rows.groups, kv_rows.groups):
-        if xkv is None:
-            kg, vg = past
-        else:
-            kg, vg = _heads(k, gkv, n_heads), _heads(v, gkv, n_heads)
-            if past is not None:
-                kg, vg = np.concatenate([past[0], kg], 2), np.concatenate([past[1], vg], 2)
+        kg, vg = _heads(k, gkv, n_heads), _heads(v, gkv, n_heads)
         qg = _heads(q, gq, n_heads)
         weights, c, scale = _attend(qg, kg, vg, gkv.keys)
         qs.append(qg)
         ks.append(kg)
         vs.append(vg)
         ws.append(weights)
-        ctx.append(_pack(c, gq))
+        ctx.append(_pack(_merge_heads(c), gq))
     ctx = _ungroup(ctx, q_rows)
     return ctx @ p[prefix + ".wo"], AttentionCache(xq, xkv, qs, ks, vs, ws, ctx, scale, q_rows, kv_rows)
 
@@ -363,9 +376,7 @@ def _ffn_b(dy, cache, p, prefix, grads):
 
 def _embed_f(p, cfg, ids, rows, rng, start):
     """Rows of scaled embeddings plus the positional encoding for the valid
-    ``ids`` [B, L], which sit at positions ``start .. start + L - 1``."""
-    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-        raise ValueError("token id outside [0, vocab_size)")
+    ``ids`` [B, L] (checked by ``_check_ids``) at ``start .. start + L - 1``."""
     scale = math.sqrt(cfg.d_model)
     length = ids.shape[1]
     tokens = _pack(ids, rows)
@@ -374,6 +385,12 @@ def _embed_f(p, cfg, ids, rows, rng, start):
     x = x + positional_encoding(start + length, cfg.d_model)[start + pos]
     x, mask = _dropout_f(x, cfg.dropout, rng, rows)
     return x, (tokens, scale, mask)
+
+
+def _check_ids(cfg, low, high):
+    """Refuse ids from ``low`` to ``high`` outside [0, vocab_size); -1 would read row -1."""
+    if low < 0 or high >= cfg.vocab_size:
+        raise ValueError("token id outside [0, vocab_size)")
 
 
 def _embed_b(dx, cache, grads):
@@ -396,34 +413,32 @@ Stack = namedtuple("Stack", "emb sublayers norm")
 
 def _stack_f(ids, p, cfg, stack, rng, rows, memory=None, memory_rows=None, cache=None):
     """The embedding of the valid ``ids`` [B, L] (laid out by ``rows``), every
-    layer of ``stack`` (see ``LAYERS``) and the stack's final layer norm;
-    "cross" sublayers attend over the rows ``memory`` laid out by
-    ``memory_rows``. With a ``cache`` (the ``layers`` of a ``DecoderCache``),
-    ``ids`` follow the cached positions, each attention runs over its entry,
-    as ``_attention_f``'s ``past``, and writes its full K/V back; ``memory``
-    is then None, the ``keys`` of ``memory_rows``'s one group mask the cached
-    "cross" K/V, the projected memory, and no sublayer cache is kept. Returns
-    (output rows, Stack)."""
+    layer of ``stack`` (see ``LAYERS``) and its final layer norm; "cross"
+    sublayers attend over the rows ``memory`` laid out by ``memory_rows``. With
+    a ``cache`` (a ``DecoderCache``'s ``layers``), ``ids`` follow the cached
+    positions and each attention is a decode step over its entry (``past``),
+    which it replaces by the full K/V; ``memory`` is then None, the ``keys`` of
+    ``memory_rows``'s one group mask the cached "cross" K/V, and no sublayer
+    cache is kept. Returns (output rows, Stack)."""
     start = 0 if cache is None else cache[0]["self"][0].shape[2]
     x, c_emb = _embed_f(p, cfg, ids, rows, rng, start)
+    names, norm = _names(stack, cfg.n_layers)
     sublayers = []
-    for i in range(cfg.n_layers):
-        for kind, ln, body in LAYERS[stack]:
-            a, c_ln = _layer_norm_f(x, p, f"{stack}.{i}.{ln}")
-            prefix = f"{stack}.{i}.{body}"
-            if kind == "ffn":
-                y, c_f = _ffn_f(a, p, prefix)
-            else:
-                xkv, kv_rows = (a, rows) if kind == "self" else (memory, memory_rows)
-                past = None if cache is None else cache[i][kind]
-                y, c_f = _attention_f(a, xkv, p, prefix, cfg.n_heads, rows, kv_rows, past)
-                if cache is not None:  # one group
-                    cache[i][kind] = c_f.k[0], c_f.v[0]
-            y, drop = _dropout_f(y, cfg.dropout, rng, rows)
-            x = x + y
-            if cache is None:
-                sublayers.append(Sublayer(kind, prefix, c_ln, c_f, drop))
-    out, c_norm = _layer_norm_f(x, p, f"{stack}.norm")
+    for i, kind, ln, prefix in names:
+        a, c_ln = _layer_norm_f(x, p, ln)
+        if kind == "ffn":
+            y, c_f = _ffn_f(a, p, prefix)
+        else:
+            xkv, kv_rows = (a, rows) if kind == "self" else (memory, memory_rows)
+            past = None if cache is None else cache[i][kind]
+            y, c_f = _attention_f(a, xkv, p, prefix, cfg.n_heads, rows, kv_rows, past)
+            if cache is not None:  # the full K/V of a decode step
+                cache[i][kind] = c_f
+        y, drop = _dropout_f(y, cfg.dropout, rng, rows)
+        x = x + y
+        if cache is None:
+            sublayers.append(Sublayer(kind, prefix, c_ln, c_f, drop))
+    out, c_norm = _layer_norm_f(x, p, norm)
     return out, Stack(c_emb, sublayers, c_norm)
 
 
@@ -537,6 +552,7 @@ def _forward(p, cfg, src_arr, src_valid, tgt_in, labels, rng=None):
         raise ValueError(f"source longer than max_src_len={cfg.max_src_len}")
     if tgt_in.shape[1] > cfg.max_tgt_len:
         raise ValueError(f"target longer than max_tgt_len={cfg.max_tgt_len}")
+    _check_ids(cfg, min(src_arr.min(), tgt_in.min()), max(src_arr.max(), tgt_in.max()))
     src_rows, tgt_rows = _layouts(src_valid, labels)
     memory, enc = _stack_f(src_arr, p, cfg, "encoder", rng, src_rows)
     yn, dec = _stack_f(tgt_in, p, cfg, "decoder", rng, tgt_rows, memory, src_rows)
@@ -587,6 +603,7 @@ def check_source(cfg: ModelConfig, src_ids) -> None:
 def encode(p, cfg: ModelConfig, src_ids) -> np.ndarray:
     """Contextual memory [len(src), d_model] for one source sequence."""
     check_source(cfg, src_ids)
+    _check_ids(cfg, min(src_ids), max(src_ids))
     arr = np.asarray([src_ids], dtype=np.int64)
     return _stack_f(arr, p, cfg, "encoder", None, _whole(arr.shape))[0]
 
@@ -628,8 +645,10 @@ def decoder_cache(p, cfg: ModelConfig, memories) -> DecoderCache:
 def reindex_cache(cache: DecoderCache, rows) -> None:
     """Keep, in place, the rows ``rows`` (in that order; a row may repeat),
     e.g. the parent of every hypothesis that survived a search step, of any
-    utterance. The cross K/V and key mask follow the rows only when the
-    row -> utterance map changes."""
+    utterance. Identity rows change nothing; the cross K/V and key mask
+    follow the rows only when the row -> utterance map changes."""
+    if list(rows) == list(range(len(cache.layers[0]["self"][0]))):
+        return
     rows = np.asarray(rows)
     for layer in cache.layers:
         layer["self"] = tuple(kv[rows] for kv in layer["self"])
@@ -649,6 +668,7 @@ def decoder_forward(p, cfg: ModelConfig, cache, tokens) -> np.ndarray:
     of every row of ``cache`` (from ``decoder_cache``). Runs the training
     layer loop on that one new position per row, attending over the row's
     own memory, and appends its self-attention K/V to ``cache`` in place."""
+    _check_ids(cfg, min(tokens), max(tokens))
     ids = np.asarray(tokens, dtype=np.int64)[:, None]
     yn = _stack_f(ids, p, cfg, "decoder", None, _whole(ids.shape),
                   memory_rows=cache.memory_rows, cache=cache.layers)[0]

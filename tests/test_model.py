@@ -430,3 +430,82 @@ def test_batch_contract_errors(params):
         M.pack_batch([([4], [1, 33, 2])])
     with pytest.raises(ValueError, match="empty source"):
         M.encode(params, TINY, [])
+
+
+def test_out_of_range_token_ids_are_refused(params):
+    # a negative id would silently read the embedding table from its end
+    from spellcap.seq2seq.train import evaluate
+
+    tgt = [1, 4, 5, 2]
+    for bad in (-1, TINY.vocab_size):
+        src = [5, bad, 9]
+        with pytest.raises(ValueError, match="token id outside"):
+            M.encode(params, TINY, src)
+        with pytest.raises(ValueError, match="token id outside"):
+            M.loss_and_gradients(params, TINY, [(src, tgt)])
+        with pytest.raises(ValueError, match="token id outside"):
+            evaluate(params, TINY, [(src, tgt)])
+        with pytest.raises(ValueError, match="token id outside"):
+            M.forward_details(params, TINY, src, tgt)
+        src_arr, src_valid, tgt_in, labels = M.pack_batch([([5, 9], tgt)])
+        tgt_in[0, 1] = bad
+        with pytest.raises(ValueError, match="token id outside"):
+            M._forward(params, TINY, src_arr, src_valid, tgt_in, labels)
+        cache = M.decoder_cache(params, TINY, [M.encode(params, TINY, [5, 9])])
+        with pytest.raises(ValueError, match="token id outside"):
+            M.decoder_forward(params, TINY, cache, [bad])
+
+
+@pytest.mark.parametrize("n_rows", [1, 56, 700])
+def test_layer_norm_matches_its_definition(n_rows):
+    rng = np.random.default_rng(n_rows)
+    d = 64
+    x = rng.standard_normal((n_rows, d))
+    x[::2] += 1e3  # an offset that a naive variance would cancel away
+    p = {"ln.gain": rng.standard_normal(d), "ln.bias": rng.standard_normal(d)}
+    got = M._layer_norm_f(x, p, ("ln.gain", "ln.bias"))[0]
+    want = ((x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + 1e-5)
+            * p["ln.gain"] + p["ln.bias"])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_layer_norm_backward_matches_finite_differences():
+    rng = np.random.default_rng(4)
+    names = ("ln.gain", "ln.bias")
+    p = {"x": rng.standard_normal((5, 8)), "ln.gain": rng.standard_normal(8),
+         "ln.bias": rng.standard_normal(8)}
+    dy = rng.standard_normal((5, 8))
+
+    def loss(q):
+        return float((M._layer_norm_f(q["x"], q, names)[0] * dy).sum())
+
+    grads = {name: np.zeros(8) for name in names}
+    analytic = {"x": M._layer_norm_b(dy, M._layer_norm_f(p["x"], p, names)[1], grads), **grads}
+    for path, g in analytic.items():
+        fd = fd_gradient(loss, p, path, range(g.size), h=1e-6)
+        assert np.max(np.abs(g.reshape(-1) - fd)) <= 1e-7 * np.max(np.abs(g)), path
+
+
+def test_identity_reindex_keeps_the_cache_and_others_gather(params):
+    # two utterances of different lengths, so the cross key mask matters
+    sources = [[5, 9, 12, 20, 33], [7, 8]]
+    cache = M.decoder_cache(params, TINY, [M.encode(params, TINY, s) for s in sources])
+    owner, prefixes = [0, 1], [[1], [1]]
+    for t, rows in enumerate([[0, 1], [1, 0], [0, 1], [0, 0], [0]]):
+        step = M.decoder_forward(params, TINY, cache, [pre[-1] for pre in prefixes])
+        for row, u, pre in zip(step, owner, prefixes):
+            teacher = M.forward_details(params, TINY, sources[u], pre + [2])["logits"]
+            assert np.max(np.abs(row - teacher[-1])) <= 1e-12
+        before = [(layer["self"], layer["cross"]) for layer in cache.layers]
+        keys = cache.memory_rows.groups[0].keys
+        M.reindex_cache(cache, rows)
+        after = [(layer["self"], layer["cross"]) for layer in cache.layers]
+        if rows == list(range(len(owner))):
+            assert all(a[i] is b[i] for a, b in zip(after, before) for i in (0, 1))
+            assert cache.memory_rows.groups[0].keys is keys
+        else:
+            for (self_a, cross_a), (self_b, cross_b) in zip(after, before):
+                for a, b in zip(self_a + cross_a, self_b + cross_b):
+                    assert np.array_equal(a, b[rows])
+        owner = [owner[r] for r in rows]
+        prefixes = [prefixes[r] + [M.id_of_class(3 + t + r)] for r in rows]

@@ -130,7 +130,7 @@ def test_early_stopping_with_patience():
 def test_nan_loss_raises_numeric_error():
     params = init_parameters(CFG, seed=3)
     params["output.weight"][:] = np.inf
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError), pytest.warns(RuntimeWarning, match="invalid value"):
         train(params, CFG, pairs(8, 4), [], TrainConfig(batch_size=2, epochs=1))
 
 
