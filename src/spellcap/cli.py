@@ -209,9 +209,9 @@ def _read_input_lines(spec_path) -> list:
 def cmd_predict(args) -> int:
     from .seq2seq import load_checkpoint, predict_names, source_ids
 
-    ck = load_checkpoint(args.checkpoint)
     if args.beam_width < 1:
         raise ConfigError(f"--beam-width must be >= 1, got {args.beam_width}")
+    ck = load_checkpoint(args.checkpoint)
     lines = _read_input_lines(args.input)
     numbered = [(no, l.strip()) for no, l in enumerate(lines, start=1) if l.strip()]
     if numbered and "|" in numbered[0][1]:
@@ -262,6 +262,9 @@ def _curve_paths(base: str, labels) -> list:
 
 
 def cmd_eval(args) -> int:
+    flag = "--er-curve" if args.er_curve else "--plot"
+    if (args.er_curve or args.plot) and args.n_points < 2:
+        raise ConfigError(f"--n-points must be >= 2 for {flag}, got {args.n_points}")
     loaded = []
     labels = []
     seen = Counter()
@@ -281,7 +284,6 @@ def cmd_eval(args) -> int:
         print(f"{path} error_rate {exact_match_error(results):.4f} "
               f"({len(results)} results)")
     if args.er_curve or args.plot:
-        flag = "--er-curve" if args.er_curve else "--plot"
         curves = []
         for path, results in zip(args.results, loaded):
             try:

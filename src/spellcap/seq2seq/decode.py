@@ -3,8 +3,8 @@
 Confidence is the total (length-unnormalized) log-probability of the emitted
 sequence including EOS; a length-normalized variant sits behind a flag. Every
 decode runs one search over a chunk of utterances: the live hypotheses of
-every live utterance are stacked as rows of one incremental decoder call per
-step, each row attending over its own utterance's memory, and EOS is ranked
+every live utterance are stacked in equal slots of one incremental decoder
+call per step, attending over their utterance's memory, and EOS is ranked
 against the other symbols inside each utterance's own top-k selection, so
 greedy decoding is the width-1 beam, ties and all. ``predict_names`` decodes
 ``CHUNK`` utterances per search and hands each utterance's ``greedy_decode``
@@ -56,7 +56,8 @@ def _search(p, cfg, sources, width):
     prefix, then the lower class; candidates ending in EOS retire to the
     utterance's completed pool. An utterance's search stops once its best
     live score cannot beat its best completed one (scores only decrease
-    along a path), and its rows then leave the cache.
+    along a path), and its rows then leave the cache. Every utterance gets
+    as many rows (slots) as the most live prefixes of any; spares copy its first.
     """
     if width < 1:
         raise ValueError("beam_width must be >= 1")
@@ -64,17 +65,17 @@ def _search(p, cfg, sources, width):
     live = [[[BOS_ID]] for _ in sources]
     scores = [np.zeros(1) for _ in sources]
     completed: list[list[DecodeResult]] = [[] for _ in sources]
-    active = list(range(len(sources)))
+    active, slots = list(range(len(sources))), 1
     for _ in range(cfg.max_tgt_len):
-        tokens = [seq[-1] for u in active for seq in live[u]]
+        tokens = [seq[-1] for u in active
+                  for seq in live[u] + live[u][:1] * (slots - len(live[u]))]
         logp = _log_softmax(decoder_forward(p, cfg, cache, tokens))
         n_classes = logp.shape[1]
-        start, rows, still = 0, [], []
-        for u in active:
-            n = len(live[u])
-            pool = (scores[u][:, None] + logp[start:start + n]).ravel()
+        still, parents = [], []  # the utterances still searching, the rows of their prefixes
+        for j, u in enumerate(active):
+            pool = (scores[u][:, None] + logp[j * slots:j * slots + len(live[u])]).ravel()
             keep, next_live = [], []
-            for idx in np.argsort(-pool, kind="stable")[:width].tolist():
+            for idx in (-pool).argsort(kind="stable")[:width].tolist():
                 row, cls = divmod(idx, n_classes)
                 seq = live[u][row] + [id_of_class(cls)]
                 if cls == 0:  # EOS is class 0
@@ -85,13 +86,12 @@ def _search(p, cfg, sources, width):
             live[u], scores[u] = next_live, pool[keep]
             if next_live and not (completed[u] and
                                   max(c.logprob for c in completed[u]) >= scores[u][0]):
-                rows += [start + idx // n_classes for idx in keep]
+                parents.append([j * slots + idx // n_classes for idx in keep])
                 still.append(u)
-            start += n
-        active = still
-        if not active:
+        if not still:
             break
-        reindex_cache(cache, rows)
+        active, slots = still, max(map(len, parents))
+        reindex_cache(cache, [r for rows in parents for r in rows + rows[:1] * (slots - len(rows))])
     out = []
     for done, seqs, final in zip(completed, live, scores):
         done += [DecodeResult(char_decode(seq), score, False)

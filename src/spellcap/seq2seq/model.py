@@ -32,9 +32,9 @@ One function, ``_stack_f``, runs a whole stack (embedding, every layer of
 run one pass, ``_forward``, whose caches are a ``Pass``. ``encode`` and
 ``decoder_forward`` call ``_stack_f`` directly, the latter on one new position
 per hypothesis over a key/value cache (``decoder_cache``) that each step extends.
-The hypotheses of several utterances share one step: each row attends over
-its own utterance's memory, padded to the longest source of the chunk and
-masked by the source layout, as in training.
+The hypotheses of several utterances share one step, in equal runs of rows
+(slots) per utterance that attend over its one row of cross K/V, padded to
+the longest source of the chunk and masked by the source layout, as in training.
 """
 
 import math
@@ -288,12 +288,13 @@ def _attend(q, k, v, mask):
     is a broadcastable boolean with True at attendable (query, key) pairs, or
     None when every pair is. Returns (weights, head-split context, scale)."""
     scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = (q @ k.swapaxes(-1, -2)) * scale
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= scale
     if mask is not None:
         scores = np.where(mask, scores, -np.inf)
-    scores -= scores.max(-1, keepdims=True)
-    expd = np.exp(scores)
-    weights = expd / expd.sum(-1, keepdims=True)
+    scores -= np.maximum.reduce(scores, -1, keepdims=True)
+    weights = np.exp(scores, out=scores)
+    weights /= np.add.reduce(weights, -1, keepdims=True)
     return weights, weights @ v, scale
 
 
@@ -301,18 +302,20 @@ def _attention_f(xq, xkv, p, prefix, n_heads, q_rows, kv_rows, past=None):
     """Multi-head attention of the rows ``xq`` (laid out by ``q_rows``) over
     the rows ``xkv`` (laid out by ``kv_rows``, whose group ``keys`` masks
     apply), group k of the queries over group k of the keys. With ``past``,
-    the head-split K/V [rows, H, len, D/H] of earlier steps, it is a decode
+    the head-split K/V [len(k), H, len, D/H] of earlier steps, it is a decode
     step of one group and one new position per row that keeps nothing for a
     backward pass: the K/V of ``xkv``, unless None, are appended to ``past``
-    and the full (K, V) are returned in place of a cache."""
+    and the full (K, V) are returned in place of a cache; the rows are
+    ``len(k)`` equal runs of slots, run i over row i of the K/V."""
     q = xq @ p[prefix + ".wq"]
     if past is not None:
         k, v = past
         if xkv is not None:
             k, v = (np.concatenate([kv, (xkv @ p[prefix + w]).reshape(*kv.shape[:2], 1, -1)], 2)
                     for kv, w in zip(past, (".wk", ".wv")))
-        c = _attend(q.reshape(len(xq), n_heads, 1, -1), k, v, kv_rows.groups[0].keys)[1]
-        return c.reshape(len(xq), -1) @ p[prefix + ".wo"], (k, v)
+        q = q.reshape(len(k), -1, n_heads, k.shape[-1]).swapaxes(1, 2)
+        c = _attend(q, k, v, kv_rows.groups[0].keys)[1]
+        return c.swapaxes(1, 2).reshape(len(xq), -1) @ p[prefix + ".wo"], (k, v)
     k, v = xkv @ p[prefix + ".wk"], xkv @ p[prefix + ".wv"]
     qs, ks, vs, ws, ctx = [], [], [], [], []  # one entry per group
     for gq, gkv in zip(q_rows.groups, kv_rows.groups):
@@ -510,8 +513,8 @@ def pack_batch(batch):
 
 
 def _log_softmax(logits):
-    shifted = logits - logits.max(-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(-1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, -1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), -1, keepdims=True))
 
 
 def _source_keys(valid):
@@ -610,23 +613,20 @@ def encode(p, cfg: ModelConfig, src_ids) -> np.ndarray:
 
 @dataclass
 class DecoderCache:
-    """The incremental decoder state of a chunk of utterances, one row per
-    live hypothesis. ``layers`` holds, per decoder layer, the head-split
-    (keys, values) [rows, H, len, D/H] of its "self" attention over the
-    decoded prefix and of its "cross" attention over the row's memory,
-    padded to the longest source of the chunk. ``memory_rows`` is the layout
-    the "cross" attention reads; only the ``keys`` of its one group, the mask
-    of those memory keys per row (None: all attendable), are set. ``owner``
-    is the utterance of each row, or None for a chunk of one, whose single
-    cross row every row shares."""
+    """The decoder state of the U utterances of a chunk still searching, in
+    rows [U, slots] (utterance u's are u * slots ... u * slots + slots - 1).
+    ``layers`` holds, per decoder layer, the head-split (keys, values) of
+    its "self" attention over each row's prefix, [rows, H, len, D/H], and of
+    its "cross" attention over each utterance's memory padded to the longest
+    source, [U, H, S, D/H]. ``memory_rows`` sets only the ``keys`` of its one
+    group: the mask of those memory keys per utterance (None: all attendable)."""
 
     layers: list[dict]
-    owner: np.ndarray | None
     memory_rows: Layout
 
 
 def decoder_cache(p, cfg: ModelConfig, memories) -> DecoderCache:
-    """The cache of a chunk, one row per utterance, from the memory
+    """The cache of a chunk, one slot per utterance, from the memory
     [len(src), d_model] of each; the cross K/V are projected here once."""
     lengths = np.array([len(m) for m in memories])
     valid = np.arange(lengths.max()) < lengths[:, None]
@@ -638,36 +638,35 @@ def decoder_cache(p, cfg: ModelConfig, memories) -> DecoderCache:
                "cross": tuple(_heads(memory @ p[f"decoder.{i}.cross_attn.{w}"],
                                      mem_rows.groups[0], cfg.n_heads) for w in ("wk", "wv"))}
               for i in range(cfg.n_layers)]
-    owner = np.arange(len(memories)) if len(memories) > 1 else None
-    return DecoderCache(layers, owner, _whole(None, mem_rows.groups[0].keys))
+    return DecoderCache(layers, _whole(None, mem_rows.groups[0].keys))
 
 
 def reindex_cache(cache: DecoderCache, rows) -> None:
     """Keep, in place, the rows ``rows`` (in that order; a row may repeat),
-    e.g. the parent of every hypothesis that survived a search step, of any
-    utterance. Identity rows change nothing; the cross K/V and key mask
-    follow the rows only when the row -> utterance map changes."""
-    if list(rows) == list(range(len(cache.layers[0]["self"][0]))):
+    e.g. the parent of every slot after a search step, each utterance's in
+    equal slots from its own (``row // slots``). Identity rows change nothing;
+    an utterance's cross K/V and key-mask row go only when all its slots go."""
+    n, utts = len(cache.layers[0]["self"][0]), len(cache.layers[0]["cross"][0])
+    if list(rows) == list(range(n)):
         return
-    rows = np.asarray(rows)
+    index = np.asarray(rows)
     for layer in cache.layers:
-        layer["self"] = tuple(kv[rows] for kv in layer["self"])
-    owner = None if cache.owner is None else cache.owner[rows]
-    if owner is None or np.array_equal(owner, cache.owner):
+        layer["self"] = tuple(kv[index] for kv in layer["self"])
+    kept = list(dict.fromkeys(r // (n // utts) for r in rows))
+    if kept == list(range(utts)):
         return
-    cache.owner = owner
     for layer in cache.layers:
-        layer["cross"] = tuple(kv[rows] for kv in layer["cross"])
+        layer["cross"] = tuple(kv[kept] for kv in layer["cross"])
     keys = cache.memory_rows.groups[0].keys
     if keys is not None:
-        cache.memory_rows = _whole(None, keys[rows])
+        cache.memory_rows = _whole(None, keys[kept])
 
 
 def decoder_forward(p, cfg: ModelConfig, cache, tokens) -> np.ndarray:
     """Next-character logits [rows, n_classes] for ``tokens``, the next token
     of every row of ``cache`` (from ``decoder_cache``). Runs the training
-    layer loop on that one new position per row, attending over the row's
-    own memory, and appends its self-attention K/V to ``cache`` in place."""
+    layer loop on that one new position per row, attending over its
+    utterance's memory, and appends its self-attention K/V to ``cache`` in place."""
     _check_ids(cfg, min(tokens), max(tokens))
     ids = np.asarray(tokens, dtype=np.int64)[:, None]
     yn = _stack_f(ids, p, cfg, "decoder", None, _whole(ids.shape),

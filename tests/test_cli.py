@@ -549,6 +549,13 @@ def test_predict_beam_width_validation(pipeline, tmp_path, capsys):
     assert code == 2 and "beam-width" in err
 
 
+def test_predict_beam_width_is_checked_before_the_checkpoint(tmp_path, capsys):
+    code, _, err = run(capsys, "predict", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                       "--input", str(tmp_path / "missing.txt"),
+                       "--out", str(tmp_path / "x.tsv"), "--beam-width", "0")
+    assert code == 2 and "--beam-width must be >= 1, got 0" in err
+
+
 def test_predict_shape_mismatch_exits_2(pipeline, tmp_path, capsys):
     import json
     raw = pipeline["ckpt"].read_bytes()
@@ -722,6 +729,17 @@ def test_eval_curve_of_one_result_exits_2_naming_file_and_flag(tmp_path, capsys,
     assert code == 2
     assert str(one) in err and flag in err
     assert sorted(tmp_path.iterdir()) == sorted([good, one])  # no curve written
+
+
+@pytest.mark.parametrize("flag", ["--er-curve", "--plot"])
+def test_eval_n_points_is_checked_before_any_file(tmp_path, capsys, flag):
+    res = tmp_path / "r.tsv"
+    _write_results(res, [("a", "a", 0.9), ("b", "x", 0.1)])
+    code, out, err = run(capsys, "eval", str(res), flag, str(tmp_path / "curve.out"),
+                         "--n-points", "1")
+    assert code == 2 and out == ""
+    assert f"--n-points must be >= 2 for {flag}, got 1" in err and str(res) not in err
+    assert sorted(tmp_path.iterdir()) == [res]
 
 
 def test_eval_malformed_results_exits_3(tmp_path, capsys):

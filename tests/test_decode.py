@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from spellcap import tokenizer as tk
+from spellcap.seq2seq import decode
 from spellcap.seq2seq.decode import _search, predict_name
 from spellcap.seq2seq.model import (
     ModelConfig,
     _log_softmax,
+    decoder_forward,
     forward_details,
     id_of_class,
     init_parameters,
@@ -133,6 +135,33 @@ def test_chunked_search_matches_one_at_a_time(seed, width, chunk):
         assert [r.reached_eos for r in results] == [r.reached_eos for r in want]
         for r, w in zip(results, want):
             assert abs(r.logprob - w.logprob) <= 1e-9
+
+
+def test_beam_keeps_one_cross_row_per_utterance(monkeypatch):
+    # every step's rows are equal slots per utterance still searching, and the
+    # cross K/V hold one row per such utterance, not one per hypothesis; these
+    # 7 sources of 2-30 tokens stop after 3 to 10 steps
+    params, cfg, sources = init_parameters(CFG, seed=0), CFG, mixed_chunk_setup(0)[2][:7]
+    steps = []
+
+    def traced(p, cfg, cache, tokens):
+        steps.append((len(tokens), [len(kv) for layer in cache.layers for kv in layer["cross"]]))
+        return decoder_forward(p, cfg, cache, tokens)
+
+    monkeypatch.setattr(decode, "decoder_forward", traced)
+    alone = []
+    for src in sources:
+        _search(params, cfg, [src], 4)
+        alone.append(len(steps))
+        steps.clear()
+    _search(params, cfg, sources, 4)
+    # the utterances still searching at each step, as when each searches alone
+    searching = [sum(n > t for n in alone) for t in range(max(alone))]
+    assert len(set(searching)) > 1
+    assert [len(set(cross)) for _, cross in steps] == [1] * len(steps)
+    assert [cross[0] for _, cross in steps] == searching
+    assert all(rows % n == 0 and rows >= n for rows, (n, *_) in steps)
+    assert max(rows // n for rows, (n, *_) in steps) == 4
 
 
 def test_chunk_wider_than_every_candidate_pool():

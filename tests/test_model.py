@@ -487,11 +487,14 @@ def test_layer_norm_backward_matches_finite_differences():
 
 
 def test_identity_reindex_keeps_the_cache_and_others_gather(params):
-    # two utterances of different lengths, so the cross key mask matters
+    # two utterances of different lengths, so the cross key mask matters. The
+    # rows are [utterance, slot] in equal slots: the reindexes below keep,
+    # repeat and reorder rows inside each utterance's own, then drop one
     sources = [[5, 9, 12, 20, 33], [7, 8]]
     cache = M.decoder_cache(params, TINY, [M.encode(params, TINY, s) for s in sources])
-    owner, prefixes = [0, 1], [[1], [1]]
-    for t, rows in enumerate([[0, 1], [1, 0], [0, 1], [0, 0], [0]]):
+    utts, owner, prefixes = [0, 1], [0, 1], [[1], [1]]
+    steps = [[0, 1], [0, 0, 1, 1], [1, 0, 3, 2], [0, 1, 2, 3], [2, 3], [1, 1], [0]]
+    for t, rows in enumerate(steps):
         step = M.decoder_forward(params, TINY, cache, [pre[-1] for pre in prefixes])
         for row, u, pre in zip(step, owner, prefixes):
             teacher = M.forward_details(params, TINY, sources[u], pre + [2])["logits"]
@@ -500,12 +503,21 @@ def test_identity_reindex_keeps_the_cache_and_others_gather(params):
         keys = cache.memory_rows.groups[0].keys
         M.reindex_cache(cache, rows)
         after = [(layer["self"], layer["cross"]) for layer in cache.layers]
-        if rows == list(range(len(owner))):
-            assert all(a[i] is b[i] for a, b in zip(after, before) for i in (0, 1))
+        kept = [i for i, u in enumerate(utts) if u in {owner[r] for r in rows}]
+        for (self_a, cross_a), (self_b, cross_b) in zip(after, before):
+            if rows == list(range(len(owner))):
+                assert all(a is b for a, b in zip(self_a, self_b))
+            else:
+                assert all(np.array_equal(a, b[rows]) for a, b in zip(self_a, self_b))
+            if len(kept) == len(utts):
+                assert all(a is b for a, b in zip(cross_a, cross_b))
+            else:  # the utterance that left takes its cross row with it
+                assert all(len(a) == len(kept) and np.array_equal(a, b[kept])
+                           for a, b in zip(cross_a, cross_b))
+        if len(kept) == len(utts):
             assert cache.memory_rows.groups[0].keys is keys
         else:
-            for (self_a, cross_a), (self_b, cross_b) in zip(after, before):
-                for a, b in zip(self_a + cross_a, self_b + cross_b):
-                    assert np.array_equal(a, b[rows])
+            assert np.array_equal(cache.memory_rows.groups[0].keys, keys[kept])
+        utts = [utts[i] for i in kept]
         owner = [owner[r] for r in rows]
         prefixes = [prefixes[r] + [M.id_of_class(3 + t + r)] for r in rows]
