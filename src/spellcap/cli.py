@@ -366,25 +366,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error type, first match wins: ConfigError and
+# DataFormatError are ValueErrors too.
+_EXIT_CODES = {ConfigError: 2, DataFormatError: 3, NumericError: 4, OSError: 3, ValueError: 2}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DataFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except UnicodeDecodeError as e:
         print(f"error: input is not valid UTF-8: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(e, kind))

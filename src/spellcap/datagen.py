@@ -146,9 +146,7 @@ def default_lexicon_path() -> str:
 
 def load_lexicon(path) -> Lexicon:
     """One lowercase name per line, optional tab-separated frequency weight."""
-    names: list = []
-    weights: list = []
-    seen = set()
+    weights: dict = {}  # name -> weight, first-seen names in order
     any_weight = False
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -171,14 +169,10 @@ def load_lexicon(path) -> Lexicon:
                 if not 0 < w < math.inf:
                     raise DataFormatError("weight must be finite and positive, "
                                           f"got {w}", line_no=line_no)
-            if name in seen:
-                continue
-            seen.add(name)
-            names.append(name)
-            weights.append(w)
-    if not names:
+            weights.setdefault(name, w)
+    if not weights:
         raise DataFormatError(f"lexicon file {path} has no names")
-    return Lexicon(tuple(names), tuple(weights) if any_weight else None)
+    return Lexicon(tuple(weights), tuple(weights.values()) if any_weight else None)
 
 
 def _spellable(name: str) -> list:
@@ -324,20 +318,13 @@ def train_dev_split(samples, dev_fraction: float = 0.1, seed: int = 0):
     return train, dev
 
 
-def sample_to_lines(sample: LabeledSample) -> list:
-    lines = []
-    for h in sample.nbest:
-        body = " ".join(f"{t.word}/{t.confidence:.4f}" for t in h.tokens)
-        lines.append(f"{h.rank}|{body}|{sample.gold}")
-    return lines
-
-
 def save_dataset(samples, path) -> None:
     """One hypothesis per line, ``rank|word/conf …|gold``; rank 1 starts a sample."""
     with open(path, "w", encoding="utf-8") as fh:
         for s in samples:
-            for line in sample_to_lines(s):
-                fh.write(line + "\n")
+            for h in s.nbest:
+                body = " ".join(f"{t.word}/{t.confidence:.4f}" for t in h.tokens)
+                fh.write(f"{h.rank}|{body}|{s.gold}\n")
 
 
 def _parse_line(line: str, line_no: int):

@@ -33,8 +33,8 @@ run one pass, ``_forward``, whose caches are a ``Pass``. ``encode`` and
 ``decoder_forward`` call ``_stack_f`` directly, the latter on one new position
 per hypothesis over a key/value cache (``decoder_cache``) that each step extends.
 The hypotheses of several utterances share one step, in equal runs of rows
-(slots) per utterance that attend over its one row of cross K/V, padded to
-the longest source of the chunk and masked by the source layout, as in training.
+(slots) per utterance that attend over its one row of cross K/V, padded to the
+longest source of the chunk and masked by the key mask the cache keeps.
 """
 
 import math
@@ -135,6 +135,7 @@ def init_parameters(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
 
 @lru_cache(maxsize=32)
 def _positional_table(max_len: int, d_model: int):
+    """The read-only sinusoidal encodings [max_len, d_model] of positions 0 .. max_len - 1."""
     pos = np.arange(max_len, dtype=np.float64)[:, None]
     idx = np.arange(0, d_model, 2, dtype=np.float64)
     div = np.exp(idx * (-math.log(10000.0) / d_model))
@@ -143,12 +144,6 @@ def _positional_table(max_len: int, d_model: int):
     table[:, 1::2] = np.cos(pos * div[: table[:, 1::2].shape[1]])
     table.setflags(write=False)
     return table
-
-
-def positional_encoding(length: int, d_model: int) -> np.ndarray:
-    # cache per power-of-two ceiling so batches of varying length share tables
-    size = 1 << max(length - 1, 0).bit_length()
-    return _positional_table(max(size, 1), d_model)[:length]
 
 
 # ---------------------------------------------------------------- primitives
@@ -298,25 +293,11 @@ def _attend(q, k, v, mask):
     return weights, weights @ v, scale
 
 
-def _attention_f(xq, xkv, p, prefix, n_heads, q_rows, kv_rows, past=None):
+def _attention_f(xq, xkv, p, prefix, n_heads, q_rows, kv_rows):
     """Multi-head attention of the rows ``xq`` (laid out by ``q_rows``) over
     the rows ``xkv`` (laid out by ``kv_rows``, whose group ``keys`` masks
-    apply), group k of the queries over group k of the keys. With ``past``,
-    the head-split K/V [len(k), H, len, D/H] of earlier steps, it is a decode
-    step of one group and one new position per row that keeps nothing for a
-    backward pass: the K/V of ``xkv``, unless None, are appended to ``past``
-    and the full (K, V) are returned in place of a cache; the rows are
-    ``len(k)`` equal runs of slots, run i over row i of the K/V."""
-    q = xq @ p[prefix + ".wq"]
-    if past is not None:
-        k, v = past
-        if xkv is not None:
-            k, v = (np.concatenate([kv, (xkv @ p[prefix + w]).reshape(*kv.shape[:2], 1, -1)], 2)
-                    for kv, w in zip(past, (".wk", ".wv")))
-        q = q.reshape(len(k), -1, n_heads, k.shape[-1]).swapaxes(1, 2)
-        c = _attend(q, k, v, kv_rows.groups[0].keys)[1]
-        return c.swapaxes(1, 2).reshape(len(xq), -1) @ p[prefix + ".wo"], (k, v)
-    k, v = xkv @ p[prefix + ".wk"], xkv @ p[prefix + ".wv"]
+    apply), group k of the queries over group k of the keys."""
+    q, k, v = xq @ p[prefix + ".wq"], xkv @ p[prefix + ".wk"], xkv @ p[prefix + ".wv"]
     qs, ks, vs, ws, ctx = [], [], [], [], []  # one entry per group
     for gq, gkv in zip(q_rows.groups, kv_rows.groups):
         kg, vg = _heads(k, gkv, n_heads), _heads(v, gkv, n_heads)
@@ -329,6 +310,20 @@ def _attention_f(xq, xkv, p, prefix, n_heads, q_rows, kv_rows, past=None):
         ctx.append(_pack(_merge_heads(c), gq))
     ctx = _ungroup(ctx, q_rows)
     return ctx @ p[prefix + ".wo"], AttentionCache(xq, xkv, qs, ks, vs, ws, ctx, scale, q_rows, kv_rows)
+
+
+def _attention_step(xq, xkv, p, prefix, n_heads, past, keys):
+    """A decode step of multi-head attention, keeping nothing for backward: the
+    rows ``xq``, one new position each, are ``len(k)`` equal runs of slots, run
+    i over row i of ``past`` (head-split K/V [len(k), H, len, D/H], plus those
+    of ``xkv`` unless None) masked by ``keys``. Returns (output rows, full (K, V))."""
+    k, v = past
+    if xkv is not None:
+        k, v = (np.concatenate([kv, (xkv @ p[prefix + w]).reshape(*kv.shape[:2], 1, -1)], 2)
+                for kv, w in zip(past, (".wk", ".wv")))
+    q = (xq @ p[prefix + ".wq"]).reshape(len(k), -1, n_heads, k.shape[-1]).swapaxes(1, 2)
+    c = _attend(q, k, v, keys)[1]
+    return c.swapaxes(1, 2).reshape(len(xq), -1) @ p[prefix + ".wo"], (k, v)
 
 
 def _attention_b(dy, cache, p, prefix, grads):
@@ -385,7 +380,7 @@ def _embed_f(p, cfg, ids, rows, rng, start):
     tokens = _pack(ids, rows)
     pos = (np.arange(ids.size) if rows.index is None else rows.index) % length
     x = p["embedding"][tokens] * scale
-    x = x + positional_encoding(start + length, cfg.d_model)[start + pos]
+    x = x + _positional_table(max(cfg.max_src_len, cfg.max_tgt_len), cfg.d_model)[start + pos]
     x, mask = _dropout_f(x, cfg.dropout, rng, rows)
     return x, (tokens, scale, mask)
 
@@ -417,13 +412,12 @@ Stack = namedtuple("Stack", "emb sublayers norm")
 def _stack_f(ids, p, cfg, stack, rng, rows, memory=None, memory_rows=None, cache=None):
     """The embedding of the valid ``ids`` [B, L] (laid out by ``rows``), every
     layer of ``stack`` (see ``LAYERS``) and its final layer norm; "cross"
-    sublayers attend over the rows ``memory`` laid out by ``memory_rows``. With
-    a ``cache`` (a ``DecoderCache``'s ``layers``), ``ids`` follow the cached
-    positions and each attention is a decode step over its entry (``past``),
-    which it replaces by the full K/V; ``memory`` is then None, the ``keys`` of
-    ``memory_rows``'s one group mask the cached "cross" K/V, and no sublayer
-    cache is kept. Returns (output rows, Stack)."""
-    start = 0 if cache is None else cache[0]["self"][0].shape[2]
+    sublayers attend over the rows ``memory`` laid out by ``memory_rows``. With a
+    ``DecoderCache`` ``cache`` (``memory`` is then None), ``ids`` follow its
+    positions, each attention is a decode step over its layer's K/V, which it
+    replaces by the full K/V, the cache's ``keys`` mask the "cross" K/V, and no
+    sublayer cache is kept. Returns (output rows, Stack)."""
+    start = 0 if cache is None else cache.layers[0]["self"][0].shape[2]
     x, c_emb = _embed_f(p, cfg, ids, rows, rng, start)
     names, norm = _names(stack, cfg.n_layers)
     sublayers = []
@@ -433,10 +427,12 @@ def _stack_f(ids, p, cfg, stack, rng, rows, memory=None, memory_rows=None, cache
             y, c_f = _ffn_f(a, p, prefix)
         else:
             xkv, kv_rows = (a, rows) if kind == "self" else (memory, memory_rows)
-            past = None if cache is None else cache[i][kind]
-            y, c_f = _attention_f(a, xkv, p, prefix, cfg.n_heads, rows, kv_rows, past)
-            if cache is not None:  # the full K/V of a decode step
-                cache[i][kind] = c_f
+            if cache is None:
+                y, c_f = _attention_f(a, xkv, p, prefix, cfg.n_heads, rows, kv_rows)
+            else:
+                keys = None if kind == "self" else cache.keys
+                layer = cache.layers[i]
+                y, layer[kind] = _attention_step(a, xkv, p, prefix, cfg.n_heads, layer[kind], keys)
         y, drop = _dropout_f(y, cfg.dropout, rng, rows)
         x = x + y
         if cache is None:
@@ -467,21 +463,19 @@ def _stack_b(dout, stack, p, grads):
 
 # ------------------------------------------------------------- batch packing
 
-_CLASS_OF_ID = np.full(64, -1, dtype=np.int64)
-for _cls, _tid in enumerate(target_alphabet()):
-    _CLASS_OF_ID[_tid] = _cls
-_ID_OF_CLASS = np.array(target_alphabet(), dtype=np.int64)
+# the token id of each output class, and the class of each of those ids
+_CLASS_IDS = target_alphabet()
+_CLASS_OF = {tid: cls for cls, tid in enumerate(_CLASS_IDS)}
 
 
 def class_of_id(token_id: int) -> int:
-    cls = int(_CLASS_OF_ID[token_id]) if 0 <= token_id < len(_CLASS_OF_ID) else -1
-    if cls < 0:
+    if token_id not in _CLASS_OF:
         raise ValueError(f"token id {token_id} is not a decoder output symbol")
-    return cls
+    return _CLASS_OF[token_id]
 
 
 def id_of_class(cls: int) -> int:
-    return int(_ID_OF_CLASS[cls])
+    return _CLASS_IDS[cls]
 
 
 def pack_batch(batch):
@@ -618,11 +612,11 @@ class DecoderCache:
     ``layers`` holds, per decoder layer, the head-split (keys, values) of
     its "self" attention over each row's prefix, [rows, H, len, D/H], and of
     its "cross" attention over each utterance's memory padded to the longest
-    source, [U, H, S, D/H]. ``memory_rows`` sets only the ``keys`` of its one
-    group: the mask of those memory keys per utterance (None: all attendable)."""
+    source, [U, H, S, D/H]. ``keys`` [U, 1, 1, S] masks those memory keys in
+    every decode step's cross attention (None: every key is attendable)."""
 
     layers: list[dict]
-    memory_rows: Layout
+    keys: np.ndarray | None
 
 
 def decoder_cache(p, cfg: ModelConfig, memories) -> DecoderCache:
@@ -631,14 +625,14 @@ def decoder_cache(p, cfg: ModelConfig, memories) -> DecoderCache:
     lengths = np.array([len(m) for m in memories])
     valid = np.arange(lengths.max()) < lengths[:, None]
     # no key mask when every key is attendable, as for one utterance
-    mem_rows = _layout(valid, _source_keys)
+    group = _layout(valid, _source_keys).groups[0]
     memory = np.concatenate(memories)
     empty = np.zeros((len(memories), cfg.n_heads, 0, cfg.d_model // cfg.n_heads))
     layers = [{"self": (empty, empty),
-               "cross": tuple(_heads(memory @ p[f"decoder.{i}.cross_attn.{w}"],
-                                     mem_rows.groups[0], cfg.n_heads) for w in ("wk", "wv"))}
+               "cross": tuple(_heads(memory @ p[f"decoder.{i}.cross_attn.{w}"], group, cfg.n_heads)
+                              for w in ("wk", "wv"))}
               for i in range(cfg.n_layers)]
-    return DecoderCache(layers, _whole(None, mem_rows.groups[0].keys))
+    return DecoderCache(layers, group.keys)
 
 
 def reindex_cache(cache: DecoderCache, rows) -> None:
@@ -657,9 +651,8 @@ def reindex_cache(cache: DecoderCache, rows) -> None:
         return
     for layer in cache.layers:
         layer["cross"] = tuple(kv[kept] for kv in layer["cross"])
-    keys = cache.memory_rows.groups[0].keys
-    if keys is not None:
-        cache.memory_rows = _whole(None, keys[kept])
+    if cache.keys is not None:
+        cache.keys = cache.keys[kept]
 
 
 def decoder_forward(p, cfg: ModelConfig, cache, tokens) -> np.ndarray:
@@ -669,8 +662,7 @@ def decoder_forward(p, cfg: ModelConfig, cache, tokens) -> np.ndarray:
     utterance's memory, and appends its self-attention K/V to ``cache`` in place."""
     _check_ids(cfg, min(tokens), max(tokens))
     ids = np.asarray(tokens, dtype=np.int64)[:, None]
-    yn = _stack_f(ids, p, cfg, "decoder", None, _whole(ids.shape),
-                  memory_rows=cache.memory_rows, cache=cache.layers)[0]
+    yn = _stack_f(ids, p, cfg, "decoder", None, _whole(ids.shape), cache=cache)[0]
     return yn @ p["output.weight"] + p["output.bias"]
 
 

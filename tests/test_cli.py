@@ -10,8 +10,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from spellcap import cli
 from spellcap.cli import main, read_config
 from spellcap.datagen import NoiseConfig, load_dataset
+from spellcap.errors import ConfigError, DataFormatError, NumericError
 from spellcap.evalharness import load_results, parse_csv
 from spellcap.seq2seq import ModelConfig, TrainConfig, load_checkpoint
 
@@ -401,6 +403,23 @@ def test_invalid_utf8_exits_3(pipeline, tmp_path, capsys, argv):
     code, _, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 3 and "error: input is not valid UTF-8" in err
     assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize("error, code, line", [
+    (ConfigError("bad key"), 2, "error: bad key"),
+    (DataFormatError("bad row", line_no=7), 3, "error: line 7: bad row"),
+    (NumericError("loss is nan"), 4, "error: loss is nan"),
+    (OSError("disk gone"), 3, "error: disk gone"),
+    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 3,
+     "error: input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0:"
+     " invalid start byte"),
+    (ValueError("no such thing"), 2, "error: no such thing"),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_each_error_type_has_its_exit_code(monkeypatch, capsys, error, code, line):
+    def fail(args):
+        raise error
+    monkeypatch.setattr(cli, "cmd_eval", fail)
+    assert run(capsys, "eval", "results.txt") == (code, "", line + "\n")
 
 
 def predict_with_manifest(pipeline, tmp_path, capsys, corrupt):

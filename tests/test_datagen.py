@@ -69,11 +69,14 @@ def test_load_lexicon_bad_weight_names_line(tmp_path):
         p.write_text(f"vera\t2\ndaren\t{weight}\n")
         with pytest.raises(DataFormatError, match="line 2"):
             load_lexicon(str(p))
+    p.write_text("vera\t2\nVera\tzz\n")  # a duplicate's weight is checked too
+    with pytest.raises(DataFormatError, match="line 2"):
+        load_lexicon(str(p))
 
 
 def test_load_lexicon_weights(tmp_path):
     p = tmp_path / "lex.txt"
-    p.write_text("vera\t3\nsara\n")
+    p.write_text("vera\t3\nsara\nVera\t5\n")  # the first-seen weight wins
     lex = load_lexicon(str(p))
     assert lex.weights == (3.0, 1.0)
 
