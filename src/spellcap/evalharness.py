@@ -74,7 +74,8 @@ def er_curve(results, n_points: int = 101) -> list:
     wrong = np.array([0 if results[i].correct else 1 for i in order], dtype=np.int64)
     wrong_prefix = np.concatenate([[0], np.cumsum(wrong)])
     total_wrong = int(wrong_prefix[-1])
-    counts = np.unique(np.linspace(0, n - 1, n_points).round().astype(int))
+    # past n points every rejection count 0 .. n - 1 is on the curve already
+    counts = np.unique(np.linspace(0, n - 1, min(n_points, n)).round().astype(int))
     points = []
     for r in counts:
         r = int(r)

@@ -29,12 +29,12 @@ stream does not depend on the padding.
 One function, ``_stack_f``, runs a whole stack (embedding, every layer of
 ``LAYERS``, final layer norm) and keeps its caches as a named ``Stack``;
 ``_stack_b`` is its backward. Training, evaluation and ``forward_details``
-run one pass, ``_forward``, whose caches are a ``Pass``. ``encode`` and
-``decoder_forward`` call ``_stack_f`` directly, the latter on one new position
-per hypothesis over a key/value cache (``decoder_cache``) that each step extends.
-The hypotheses of several utterances share one step, in equal runs of rows
-(slots) per utterance that attend over its one row of cross K/V, padded to the
-longest source of the chunk and masked by the key mask the cache keeps.
+run one pass, ``_forward``, whose caches are a ``Pass``; ``encode`` calls
+``_stack_f``. The decode step ``decoder_forward`` has its own layer loop, on one
+new position per hypothesis, over the weights and key/value cache that
+``decoder_cache`` resolves once per search. The hypotheses of several
+utterances share one step, in equal runs of rows (slots) per utterance that
+attend over its one row of cross K/V, padded to the chunk's longest source.
 """
 
 import math
@@ -222,12 +222,17 @@ def _mean_column(d):
     return col
 
 
-def _layer_norm_f(x, p, names):
-    """Layer norm of the rows ``x`` [N, D]; ``names`` are its (gain, bias)."""
+def _normalize(x):
+    """(xhat, 1 / std [N, 1], mean column) of the rows ``x`` [N, D], for layer norm."""
     col = _mean_column(x.shape[-1])
     xc = x - x @ col
     inv = 1.0 / np.sqrt((xc * xc) @ col + _LN_EPS)
-    xhat = xc * inv
+    return xc * inv, inv, col
+
+
+def _layer_norm_f(x, p, names):
+    """Layer norm of the rows ``x`` [N, D]; ``names`` are its (gain, bias)."""
+    xhat, inv, col = _normalize(x)
     gain = p[names[0]]
     return xhat * gain + p[names[1]], (names, xhat, inv, gain, col)
 
@@ -312,20 +317,6 @@ def _attention_f(xq, xkv, p, prefix, n_heads, q_rows, kv_rows):
     return ctx @ p[prefix + ".wo"], AttentionCache(xq, xkv, qs, ks, vs, ws, ctx, scale, q_rows, kv_rows)
 
 
-def _attention_step(xq, xkv, p, prefix, n_heads, past, keys):
-    """A decode step of multi-head attention, keeping nothing for backward: the
-    rows ``xq``, one new position each, are ``len(k)`` equal runs of slots, run
-    i over row i of ``past`` (head-split K/V [len(k), H, len, D/H], plus those
-    of ``xkv`` unless None) masked by ``keys``. Returns (output rows, full (K, V))."""
-    k, v = past
-    if xkv is not None:
-        k, v = (np.concatenate([kv, (xkv @ p[prefix + w]).reshape(*kv.shape[:2], 1, -1)], 2)
-                for kv, w in zip(past, (".wk", ".wv")))
-    q = (xq @ p[prefix + ".wq"]).reshape(len(k), -1, n_heads, k.shape[-1]).swapaxes(1, 2)
-    c = _attend(q, k, v, keys)[1]
-    return c.swapaxes(1, 2).reshape(len(xq), -1) @ p[prefix + ".wo"], (k, v)
-
-
 def _attention_b(dy, cache, p, prefix, grads):
     xq, xkv, qs, ks, vs, ws, ctx, scale, q_rows, kv_rows = cache
     wq, wk, wv, wo = (p[f"{prefix}.{w}"] for w in ("wq", "wk", "wv", "wo"))
@@ -372,15 +363,15 @@ def _ffn_b(dy, cache, p, prefix, grads):
     return dz @ p[f"{prefix}.w1"].T
 
 
-def _embed_f(p, cfg, ids, rows, rng, start):
+def _embed_f(p, cfg, ids, rows, rng):
     """Rows of scaled embeddings plus the positional encoding for the valid
-    ``ids`` [B, L] (checked by ``_check_ids``) at ``start .. start + L - 1``."""
+    ``ids`` [B, L] (checked by ``_check_ids``) at positions 0 .. L - 1."""
     scale = math.sqrt(cfg.d_model)
     length = ids.shape[1]
     tokens = _pack(ids, rows)
     pos = (np.arange(ids.size) if rows.index is None else rows.index) % length
     x = p["embedding"][tokens] * scale
-    x = x + _positional_table(max(cfg.max_src_len, cfg.max_tgt_len), cfg.d_model)[start + pos]
+    x = x + _positional_table(max(cfg.max_src_len, cfg.max_tgt_len), cfg.d_model)[pos]
     x, mask = _dropout_f(x, cfg.dropout, rng, rows)
     return x, (tokens, scale, mask)
 
@@ -409,34 +400,24 @@ Sublayer = namedtuple("Sublayer", "kind prefix ln f drop")
 Stack = namedtuple("Stack", "emb sublayers norm")
 
 
-def _stack_f(ids, p, cfg, stack, rng, rows, memory=None, memory_rows=None, cache=None):
+def _stack_f(ids, p, cfg, stack, rng, rows, memory=None, memory_rows=None):
     """The embedding of the valid ``ids`` [B, L] (laid out by ``rows``), every
     layer of ``stack`` (see ``LAYERS``) and its final layer norm; "cross"
-    sublayers attend over the rows ``memory`` laid out by ``memory_rows``. With a
-    ``DecoderCache`` ``cache`` (``memory`` is then None), ``ids`` follow its
-    positions, each attention is a decode step over its layer's K/V, which it
-    replaces by the full K/V, the cache's ``keys`` mask the "cross" K/V, and no
-    sublayer cache is kept. Returns (output rows, Stack)."""
-    start = 0 if cache is None else cache.layers[0]["self"][0].shape[2]
-    x, c_emb = _embed_f(p, cfg, ids, rows, rng, start)
+    sublayers attend over the rows ``memory`` laid out by ``memory_rows``.
+    Returns (output rows, Stack)."""
+    x, c_emb = _embed_f(p, cfg, ids, rows, rng)
     names, norm = _names(stack, cfg.n_layers)
     sublayers = []
-    for i, kind, ln, prefix in names:
+    for _, kind, ln, prefix in names:
         a, c_ln = _layer_norm_f(x, p, ln)
         if kind == "ffn":
             y, c_f = _ffn_f(a, p, prefix)
         else:
             xkv, kv_rows = (a, rows) if kind == "self" else (memory, memory_rows)
-            if cache is None:
-                y, c_f = _attention_f(a, xkv, p, prefix, cfg.n_heads, rows, kv_rows)
-            else:
-                keys = None if kind == "self" else cache.keys
-                layer = cache.layers[i]
-                y, layer[kind] = _attention_step(a, xkv, p, prefix, cfg.n_heads, layer[kind], keys)
+            y, c_f = _attention_f(a, xkv, p, prefix, cfg.n_heads, rows, kv_rows)
         y, drop = _dropout_f(y, cfg.dropout, rng, rows)
         x = x + y
-        if cache is None:
-            sublayers.append(Sublayer(kind, prefix, c_ln, c_f, drop))
+        sublayers.append(Sublayer(kind, prefix, c_ln, c_f, drop))
     out, c_norm = _layer_norm_f(x, p, norm)
     return out, Stack(c_emb, sublayers, c_norm)
 
@@ -605,18 +586,34 @@ def encode(p, cfg: ModelConfig, src_ids) -> np.ndarray:
     return _stack_f(arr, p, cfg, "encoder", None, _whole(arr.shape))[0]
 
 
+@dataclass(slots=True)
+class DecoderLayer:
+    """A decoder layer's weights, resolved once per search: ``norms`` (3 x (gain,
+    bias)), ``self_attn`` ([wq | wk | wv] [D, 3D], wo), ``cross_attn`` (wq, wo),
+    ``ffn`` (w1, b1, w2, b2); its head-split (keys, values), ``self_kv`` over each
+    row's prefix [rows, H, len, D/H] and ``cross_kv`` over each memory [U, H, S, D/H]."""
+
+    norms: tuple
+    self_attn: tuple
+    cross_attn: tuple
+    ffn: tuple
+    self_kv: tuple
+    cross_kv: tuple
+
+
 @dataclass
 class DecoderCache:
     """The decoder state of the U utterances of a chunk still searching, in
-    rows [U, slots] (utterance u's are u * slots ... u * slots + slots - 1).
-    ``layers`` holds, per decoder layer, the head-split (keys, values) of
-    its "self" attention over each row's prefix, [rows, H, len, D/H], and of
-    its "cross" attention over each utterance's memory padded to the longest
-    source, [U, H, S, D/H]. ``keys`` [U, 1, 1, S] masks those memory keys in
-    every decode step's cross attention (None: every key is attendable)."""
+    rows [U, slots] (utterance u's are u * slots ... u * slots + slots - 1): a
+    ``DecoderLayer`` per layer, whose cross K/V are padded to the longest source
+    and masked by ``keys`` [U, 1, 1, S] (None: every key is attendable), and the
+    ``embedding``, final ``norm`` and ``output`` (weight, bias) every step reads."""
 
-    layers: list[dict]
+    layers: list[DecoderLayer]
     keys: np.ndarray | None
+    embedding: np.ndarray
+    norm: tuple
+    output: tuple
 
 
 def decoder_cache(p, cfg: ModelConfig, memories) -> DecoderCache:
@@ -628,11 +625,18 @@ def decoder_cache(p, cfg: ModelConfig, memories) -> DecoderCache:
     group = _layout(valid, _source_keys).groups[0]
     memory = np.concatenate(memories)
     empty = np.zeros((len(memories), cfg.n_heads, 0, cfg.d_model // cfg.n_heads))
-    layers = [{"self": (empty, empty),
-               "cross": tuple(_heads(memory @ p[f"decoder.{i}.cross_attn.{w}"], group, cfg.n_heads)
-                              for w in ("wk", "wv"))}
-              for i in range(cfg.n_layers)]
-    return DecoderCache(layers, group.keys)
+    layers = []
+    for i in range(cfg.n_layers):
+        n = f"decoder.{i}."
+        s, c, f = n + "self_attn.", n + "cross_attn.", n + "ffn."
+        layers.append(DecoderLayer(
+            tuple((p[f"{n}ln{j}.gain"], p[f"{n}ln{j}.bias"]) for j in (1, 2, 3)),
+            (np.concatenate([p[s + "wq"], p[s + "wk"], p[s + "wv"]], 1), p[s + "wo"]),
+            (p[c + "wq"], p[c + "wo"]), (p[f + "w1"], p[f + "b1"], p[f + "w2"], p[f + "b2"]),
+            (empty, empty), (_heads(memory @ p[c + "wk"], group, cfg.n_heads),
+                             _heads(memory @ p[c + "wv"], group, cfg.n_heads))))
+    return DecoderCache(layers, group.keys, p["embedding"], (p["decoder.norm.gain"],
+                        p["decoder.norm.bias"]), (p["output.weight"], p["output.bias"]))
 
 
 def reindex_cache(cache: DecoderCache, rows) -> None:
@@ -640,30 +644,45 @@ def reindex_cache(cache: DecoderCache, rows) -> None:
     e.g. the parent of every slot after a search step, each utterance's in
     equal slots from its own (``row // slots``). Identity rows change nothing;
     an utterance's cross K/V and key-mask row go only when all its slots go."""
-    n, utts = len(cache.layers[0]["self"][0]), len(cache.layers[0]["cross"][0])
+    n, utts = len(cache.layers[0].self_kv[0]), len(cache.layers[0].cross_kv[0])
     if list(rows) == list(range(n)):
         return
     index = np.asarray(rows)
     for layer in cache.layers:
-        layer["self"] = tuple(kv[index] for kv in layer["self"])
+        layer.self_kv = tuple(kv[index] for kv in layer.self_kv)
     kept = list(dict.fromkeys(r // (n // utts) for r in rows))
     if kept == list(range(utts)):
         return
     for layer in cache.layers:
-        layer["cross"] = tuple(kv[kept] for kv in layer["cross"])
+        layer.cross_kv = tuple(kv[kept] for kv in layer.cross_kv)
     if cache.keys is not None:
         cache.keys = cache.keys[kept]
 
 
 def decoder_forward(p, cfg: ModelConfig, cache, tokens) -> np.ndarray:
-    """Next-character logits [rows, n_classes] for ``tokens``, the next token
-    of every row of ``cache`` (from ``decoder_cache``). Runs the training
-    layer loop on that one new position per row, attending over its
-    utterance's memory, and appends its self-attention K/V to ``cache`` in place."""
+    """Next-character logits [rows, n_classes] for ``tokens``, the next token of
+    every row of ``cache`` (from ``decoder_cache``, which holds the weights; ``p``
+    is not read): every decoder layer on that one new position per row, with the
+    teacher-forced pass's arithmetic at dropout 0. Appends the self K/V in place."""
     _check_ids(cfg, min(tokens), max(tokens))
-    ids = np.asarray(tokens, dtype=np.int64)[:, None]
-    yn = _stack_f(ids, p, cfg, "decoder", None, _whole(ids.shape), cache=cache)[0]
-    return yn @ p["output.weight"] + p["output.bias"]
+    rows, heads, d = len(tokens), cfg.n_heads, cfg.d_model
+    t, utts = cache.layers[0].self_kv[0].shape[2], len(cache.layers[0].cross_kv[0])
+    x = (cache.embedding[tokens] * math.sqrt(d)
+         + _positional_table(max(cfg.max_src_len, cfg.max_tgt_len), d)[t])
+    for layer in cache.layers:
+        (g1, b1), (g2, b2), (g3, b3) = layer.norms
+        (wqkv, wo), (wq, cross_wo), (w1, f1, w2, f2) = layer.self_attn, layer.cross_attn, layer.ffn
+        # q, k and v of each row's one position, head-split [rows, H, 1, D/H]
+        qkv = ((_normalize(x)[0] * g1 + b1) @ wqkv).reshape(rows, 3, heads, 1, -1)
+        k, v = layer.self_kv = tuple(np.concatenate([kv, qkv[:, j]], 2)
+                                     for j, kv in zip((1, 2), layer.self_kv))
+        x = x + _attend(qkv[:, 0], k, v, None)[1].reshape(rows, d) @ wo
+        # each utterance's slots are the queries over its one row of cross K/V
+        q = ((_normalize(x)[0] * g2 + b2) @ wq).reshape(utts, -1, heads, d // heads)
+        c = _attend(q.swapaxes(1, 2), *layer.cross_kv, cache.keys)[1]
+        x = x + c.swapaxes(1, 2).reshape(rows, d) @ cross_wo
+        x = x + (np.maximum((_normalize(x)[0] * g3 + b3) @ w1 + f1, 0.0) @ w2 + f2)
+    return (_normalize(x)[0] * cache.norm[0] + cache.norm[1]) @ cache.output[0] + cache.output[1]
 
 
 def forward_details(p, cfg: ModelConfig, src_ids, tgt_ids):

@@ -5,11 +5,13 @@ import pytest
 
 from spellcap import tokenizer as tk
 from spellcap.seq2seq import decode
-from spellcap.seq2seq.decode import _search, predict_name
+from spellcap.seq2seq.decode import _search, predict_name, predict_names
 from spellcap.seq2seq.model import (
     ModelConfig,
     _log_softmax,
+    decoder_cache,
     decoder_forward,
+    encode,
     forward_details,
     id_of_class,
     init_parameters,
@@ -137,6 +139,22 @@ def test_chunked_search_matches_one_at_a_time(seed, width, chunk):
             assert abs(r.logprob - w.logprob) <= 1e-9
 
 
+def test_decoding_never_applies_dropout():
+    # the decode step runs no dropout, so a model configured with it decodes
+    # as at rate 0: equal step logits, names and logprobs
+    params, cfg, sources = mixed_chunk_setup(2)
+    chunk = sorted(sources, key=len)[::31]  # 3 sources, shortest to longest
+    noisy = replace(cfg, dropout=0.5)
+    caches = [decoder_cache(params, c, [encode(params, c, s) for s in chunk]) for c in (cfg, noisy)]
+    for t in range(cfg.max_tgt_len):
+        tokens = [BOS_ID if t == 0 else id_of_class(1 + t + k) for k in range(len(chunk))]
+        want, got = (decoder_forward(params, c, cache, tokens) for c, cache in zip((cfg, noisy), caches))
+        assert np.array_equal(got, want)
+    for width in (1, 4):
+        assert (predict_names(params, noisy, chunk, width, False)
+                == predict_names(params, cfg, chunk, width, False))
+
+
 def test_beam_keeps_one_cross_row_per_utterance(monkeypatch):
     # every step's rows are equal slots per utterance still searching, and the
     # cross K/V hold one row per such utterance, not one per hypothesis; these
@@ -145,7 +163,7 @@ def test_beam_keeps_one_cross_row_per_utterance(monkeypatch):
     steps = []
 
     def traced(p, cfg, cache, tokens):
-        steps.append((len(tokens), [len(kv) for layer in cache.layers for kv in layer["cross"]]))
+        steps.append((len(tokens), [len(kv) for layer in cache.layers for kv in layer.cross_kv]))
         return decoder_forward(p, cfg, cache, tokens)
 
     monkeypatch.setattr(decode, "decoder_forward", traced)

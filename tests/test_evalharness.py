@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -137,6 +138,21 @@ def test_er_curve_matches_bruteforce_oracle():
         counts = sorted({int(round(c)) for c in np.linspace(0, n - 1, n_points)})
         want = er_sweep(as_points(rs), counts)
         assert [(p.rejection_rate, p.error_rate) for p in pts] == want
+
+
+def test_er_curve_points_beyond_the_results_change_nothing():
+    # a huge n_points neither changes the curve nor allocates its size
+    rnd = random.Random(5)
+    rs = [scored(rnd.uniform(-9, 0), rnd.random() < 0.5) for _ in range(50)]
+    t0 = time.perf_counter()
+    assert er_curve(rs, n_points=10**9) == er_curve(rs, n_points=50)
+    assert time.perf_counter() - t0 < 1.0
+    # the offline benchmark's 101 points over 200 results keep their counts
+    rs = [scored(rnd.uniform(-9, 0), rnd.random() < 0.5) for _ in range(200)]
+    counts = sorted({int(round(c)) for c in np.linspace(0, 199, 101)})
+    assert len(counts) == 101
+    pts = er_curve(rs, n_points=101)
+    assert [(p.rejection_rate, p.error_rate) for p in pts] == er_sweep(as_points(rs), counts)
 
 
 def test_er_curve_stable_on_confidence_ties():

@@ -486,6 +486,12 @@ def test_layer_norm_backward_matches_finite_differences():
         assert np.max(np.abs(g.reshape(-1) - fd)) <= 1e-7 * np.max(np.abs(g)), path
 
 
+def weight_tables(layer):
+    """Every weight array a ``DecoderLayer`` holds, the fused QKV first."""
+    return [*layer.self_attn, *layer.cross_attn, *layer.ffn,
+            *(array for norm in layer.norms for array in norm)]
+
+
 def test_identity_reindex_keeps_the_cache_and_others_gather(params):
     # two utterances of different lengths, so the cross key mask matters. The
     # rows are [utterance, slot] in equal slots: the reindexes below keep,
@@ -499,10 +505,15 @@ def test_identity_reindex_keeps_the_cache_and_others_gather(params):
         for row, u, pre in zip(step, owner, prefixes):
             teacher = M.forward_details(params, TINY, sources[u], pre + [2])["logits"]
             assert np.max(np.abs(row - teacher[-1])) <= 1e-12
-        before = [(layer["self"], layer["cross"]) for layer in cache.layers]
+        before = [(layer.self_kv, layer.cross_kv) for layer in cache.layers]
+        tables = [weight_tables(layer) for layer in cache.layers]
         keys = cache.keys
         M.reindex_cache(cache, rows)
-        after = [(layer["self"], layer["cross"]) for layer in cache.layers]
+        after = [(layer.self_kv, layer.cross_kv) for layer in cache.layers]
+        # the weight tables are per search, never per row: the fused QKV and
+        # every other table stay the same objects
+        for layer, held in zip(cache.layers, tables):
+            assert all(a is b for a, b in zip(weight_tables(layer), held, strict=True))
         kept = [i for i, u in enumerate(utts) if u in {owner[r] for r in rows}]
         for (self_a, cross_a), (self_b, cross_b) in zip(after, before):
             if rows == list(range(len(owner))):
