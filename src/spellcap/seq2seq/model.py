@@ -13,18 +13,19 @@ Training and evaluation run padding-free. A batch arrives padded to [B, S]
 and [B, T] (``pack_batch``), but every position-wise operation (embedding,
 layer norm, FFN, dropout, the q/k/v/o projections, the output layer and
 their weight gradients) runs on the valid positions alone, stacked as rows
-[N, D] in row-major (example, position) order; a ``Layout`` says which
-positions those are. Only attention needs a padded layout, and it runs in
-groups of up to ``GROUP_SIZE`` (8) examples of similar source length, each
-padded to its own longest member: the q/k/v projections run once over every
-row, then each group's queries, keys and values are gathered and scattered to
+[N, D]; a ``Layout`` says which positions those are. Only attention needs a
+padded layout, and it runs in groups of up to ``GROUP_SIZE`` (8) examples of
+similar source length, each padded to its own longest member. The rows are
+packed group after group, each example's positions in order, so a group's
+rows are one slice of them: the q/k/v projections run once over every row,
+then each group's slice of queries, keys and values is scattered to
 [b, H, L, D/H] with zero rows at padding, which the key mask keeps out of
-every valid row's softmax, and each group's context is packed back into the
-rows before ``wo``. A batch of at most 8 examples, and every inference call,
-is one group. When every position is valid (one utterance at inference),
-packing is a reshape and nothing is scattered.
+every valid row's softmax, and the groups' contexts, packed back to rows, are
+concatenated before ``wo``. A batch of at most 8 examples, and every
+inference call, is one group in example order. When every position is valid
+(one utterance at inference), packing is a reshape and nothing is scattered.
 Dropout masks are drawn over the padded shape and then packed, so the random
-stream does not depend on the padding.
+stream and each position's mask do not depend on the padding or row order.
 
 One function, ``_stack_f``, runs a whole stack (embedding, every layer of
 ``LAYERS``, final layer norm) and keeps its caches as a named ``Stack``;
@@ -149,11 +150,11 @@ def _positional_table(max_len: int, d_model: int):
 # ---------------------------------------------------------------- primitives
 
 
-# The valid positions of a padded [B, L] batch: ``index`` holds their flat
-# indices into B * L in row-major order, or is None when every position is
-# valid; ``shape`` is (B, L). Attention runs per ``Group`` of examples, each
-# padded to its longest member: ``rows`` selects the group's positions among
-# the batch's valid rows (None for a group of the whole batch, in order),
+# The valid positions of a padded [B, L] batch, packed as rows group after
+# group: ``index`` holds their flat indices into B * L in that order, or is
+# None when one group holds every position; ``shape`` is (B, L). Attention
+# runs per ``Group`` of examples, each padded to its longest member: ``rows``
+# is the slice of the batch's rows that holds the group's positions,
 # ``index`` and ``shape`` lay them out as a [b, L] batch of their own, and
 # ``keys`` is the mask (see ``_attend``) of an attention whose keys are they.
 Group = namedtuple("Group", "rows index shape keys")
@@ -167,24 +168,21 @@ def _index(valid):
     return None if valid.all() else np.flatnonzero(valid)
 
 
-def _layout(valid, keys, members=None):
+def _layout(valid, keys, members=(slice(None),)):
     """The Layout of the valid positions ``valid`` [B, L], a prefix of each
-    example, whose groups hold the example index arrays ``members`` (None: one
-    group of the whole batch); ``keys(v)`` is the key mask of a group whose
-    valid positions are ``v``."""
-    if members is None:
-        return _whole(valid.shape, keys(valid), _index(valid))
-    number = np.cumsum(valid).reshape(valid.shape) - 1  # row of each position
-    groups = []
+    example, whose groups hold the examples ``members`` (each an index array
+    or slice of examples) in that order; ``keys(v)`` is the key mask of a
+    group whose valid positions are ``v``."""
+    flat = np.arange(valid.size).reshape(valid.shape)
+    groups, index, start = [], [], 0
     for m in members:
         v = valid[m, : valid[m].sum(1).max()]
-        groups.append(Group(number[m, : v.shape[1]][v], _index(v), v.shape, keys(v)))
-    return Layout(_index(valid), valid.shape, tuple(groups))
-
-
-def _whole(shape, keys=None, index=None):
-    """The Layout whose one group is the whole batch, in order."""
-    return Layout(index, shape, (Group(None, index, shape, keys),))
+        index.append(flat[m][valid[m]])
+        stop = start + len(index[-1])
+        groups.append(Group(slice(start, stop), _index(v), v.shape, keys(v)))
+        start = stop
+    one = len(groups) == 1 and valid.all()
+    return Layout(None if one else np.concatenate(index), valid.shape, tuple(groups))
 
 
 def _pack(x, rows):
@@ -250,8 +248,7 @@ def _layer_norm_b(dy, cache, grads):
 def _heads(x, group, n_heads):
     """The rows of ``group`` among the rows ``x`` [N, D], padded with zero rows
     to [b, L, D] and split into heads [b, H, L, D/H]."""
-    if group.rows is not None:
-        x = x[group.rows]
+    x = x[group.rows]
     if group.index is not None:
         full = np.zeros((math.prod(group.shape), x.shape[1]))
         full[group.index] = x
@@ -264,15 +261,9 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
-def _ungroup(parts, rows):
-    """The rows of each group of the layout ``rows``, one array per group,
-    back in the layout's row order."""
-    if len(parts) == 1:
-        return parts[0]
-    out = np.empty((sum(map(len, parts)), *parts[0].shape[1:]))
-    for part, group in zip(parts, rows.groups):
-        out[group.rows] = part
-    return out
+def _ungroup(parts):
+    """The rows of a layout from the rows of each of its groups, in order."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # ``xq``, ``xkv`` and ``ctx`` are rows laid out by ``q_rows``/``kv_rows``;
@@ -313,7 +304,7 @@ def _attention_f(xq, xkv, p, prefix, n_heads, q_rows, kv_rows):
         vs.append(vg)
         ws.append(weights)
         ctx.append(_pack(_merge_heads(c), gq))
-    ctx = _ungroup(ctx, q_rows)
+    ctx = _ungroup(ctx)
     return ctx @ p[prefix + ".wo"], AttentionCache(xq, xkv, qs, ks, vs, ws, ctx, scale, q_rows, kv_rows)
 
 
@@ -335,8 +326,7 @@ def _attention_b(dy, cache, p, prefix, grads):
         dk.append(_pack(_merge_heads(ds.swapaxes(-1, -2) @ q), gkv))
         dv.append(_pack(_merge_heads(weights.swapaxes(-1, -2) @ dc), gkv))
 
-    dq_m = _ungroup(dq, q_rows)
-    dk_m, dv_m = _ungroup(dk, kv_rows), _ungroup(dv, kv_rows)
+    dq_m, dk_m, dv_m = _ungroup(dq), _ungroup(dk), _ungroup(dv)
     grads[f"{prefix}.wq"] += _weight_grad(xq, dq_m)
     grads[f"{prefix}.wk"] += _weight_grad(xkv, dk_m)
     grads[f"{prefix}.wv"] += _weight_grad(xkv, dv_m)
@@ -510,7 +500,7 @@ def _layouts(src_valid, labels):
     and split into ceil(B / GROUP_SIZE) groups, or one group of the whole
     batch in order when that is one."""
     n_groups = -(-len(src_valid) // GROUP_SIZE)
-    members = None
+    members = (slice(None),)
     if n_groups > 1:
         members = np.array_split(np.argsort(src_valid.sum(1), kind="stable"), n_groups)
     return (_layout(src_valid, _source_keys, members),
@@ -524,8 +514,8 @@ Pass = namedtuple("Pass", "memory enc dec yn")
 
 def _forward(p, cfg, src_arr, src_valid, tgt_in, labels, rng=None):
     """The teacher-forced pass over a ``pack_batch`` batch. Returns (logits
-    [N, C] and labels [N] of the supervised positions in row-major order,
-    Pass)."""
+    [N, C] and labels [N] of the supervised positions in the target layout's
+    row order, Pass)."""
     if src_arr.shape[1] > cfg.max_src_len:
         raise ValueError(f"source longer than max_src_len={cfg.max_src_len}")
     if tgt_in.shape[1] > cfg.max_tgt_len:
@@ -583,7 +573,8 @@ def encode(p, cfg: ModelConfig, src_ids) -> np.ndarray:
     check_source(cfg, src_ids)
     _check_ids(cfg, min(src_ids), max(src_ids))
     arr = np.asarray([src_ids], dtype=np.int64)
-    return _stack_f(arr, p, cfg, "encoder", None, _whole(arr.shape))[0]
+    return _stack_f(arr, p, cfg, "encoder", None,
+                    _layout(np.ones(arr.shape, bool), _source_keys))[0]
 
 
 @dataclass(slots=True)

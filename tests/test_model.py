@@ -261,12 +261,14 @@ def test_grouped_step_equals_the_one_group_step(lengths, seed):
     members = []
     for layout, valid in zip(layouts, (src_valid, labels >= 0)):
         # each group row is one example: its own positions, in order, then padding
-        example = np.repeat(np.arange(len(batch)), valid.sum(1))
-        position = np.concatenate([np.arange(n) for n in valid.sum(1)])
-        order = []
+        example, position = np.divmod(layout.index, valid.shape[1])
+        order, start = [], 0
         for g in layout.groups:
+            # the groups' rows are consecutive slices that cover every row once
+            assert g.rows.start == start and g.rows.step is None
+            start = g.rows.stop
             ids = (M._heads(np.stack([example, position], 1) + 1, g, 1)[:, 0] - 1).astype(int)
-            assert len(g.rows) == valid[ids[:, 0, 0]].sum()
+            assert g.rows.stop - g.rows.start == valid[ids[:, 0, 0]].sum()
             for b in range(g.shape[0]):
                 n = valid[ids[b, 0, 0]].sum()
                 assert (ids[b, :n, 0] == ids[b, 0, 0]).all()
@@ -274,6 +276,7 @@ def test_grouped_step_equals_the_one_group_step(lengths, seed):
             # padded to the group's longest member
             assert g.shape[1] == valid[ids[:, 0, 0]].sum(1).max()
             order.append(ids[:, 0, 0])
+        assert start == len(layout.index) == valid.sum()
         members.append(order)
     # source and target groups hold the same examples, every example once
     assert all((a == b).all() for a, b in zip(*members))

@@ -231,6 +231,20 @@ def test_three_epoch_losses_pinned():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
+def test_three_epoch_losses_pinned_in_groups():
+    # The same run at batch_size 20: the 48 samples make batches of 3, 3 and
+    # 1 attention groups, each with its own dropout masks. Recorded with the
+    # batch rows in example order; packing them group after group may move
+    # the losses by rounding only.
+    res = train(init_parameters(CFG, seed=1), CFG, pairs(2, 48), pairs(3, 12),
+                TrainConfig(batch_size=20, learning_rate=1e-3, epochs=3, seed=4))
+    want = [(3.6013952220614165, 3.4435057921052263),
+            (3.5452358881920776, 3.3998605413113565),
+            (3.4618348124226705, 3.372004812178178)]
+    got = [(h.train_loss, h.dev_loss) for h in res.history]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
 def test_evaluate_batch_split_invariant():
     params = init_parameters(CFG, seed=4)
     data = pairs(seed=12, n=10)
