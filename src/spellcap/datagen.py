@@ -264,7 +264,9 @@ def _corrupt_once(clean, gold, cfg: NoiseConfig, rng, distractors, rank) -> AsrH
     parts = []
     for text, noisy in toks:
         base = cfg.conf_noisy if noisy else cfg.conf_clean
-        conf = base + float(rng.uniform(-cfg.jitter, cfg.jitter))
+        # rng.uniform(low, high) is low + (high - low) * rng.random(): the
+        # same number from the same draw, without uniform's argument handling
+        conf = base + (-cfg.jitter + (cfg.jitter - -cfg.jitter) * rng.random())
         parts.append(AsrToken(text, min(1.0, max(0.01, conf))))
     return AsrHypothesis(tokens=tuple(parts), rank=rank)
 

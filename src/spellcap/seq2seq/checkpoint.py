@@ -4,10 +4,10 @@ The manifest holds exactly ``format``, ``dtype``, ``config`` (the
 ``ModelConfig`` fields), ``bpe`` (the ``vocab`` and ``merges`` of the
 tokenizer the model was trained with) and ``tensors`` (path/shape/byte-offset/
 nbytes entries in write order): a model is its config, tokenizer and
-parameters. A float64 training resume file, which ``load_checkpoint`` refuses,
-adds ``extras.train_state`` (the Adam step count and the epoch history) beside
-``adam.*`` tensors, and ``best.*`` ones once the history holds a finite dev
-loss, so a resumed run continues bit-exactly. A failed write leaves any
+parameters, read-only once loaded. A float64 training resume file, which
+``load_checkpoint`` refuses, adds ``extras.train_state`` (the Adam step count
+and the epoch history) beside ``adam.*`` tensors, and ``best.*`` ones once the
+history holds a finite dev loss, so a resumed run continues bit-exactly. A failed write leaves any
 earlier file as it was. A reader consumes exactly its file: an unknown
 top-level key, a duplicate tensor path, bytes after the last tensor and a
 tensor that is neither a parameter nor claimed by a group of a resume file
@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import ConfigError, DataFormatError
 from ..tokenizer import BpeModel
-from .model import ModelConfig, param_shapes
+from .model import FrozenParams, ModelConfig, param_shapes
 from .train import EpochStats, TrainState, best_epoch
 
 _MAGIC = "spellcap-checkpoint"
@@ -225,13 +225,19 @@ class Checkpoint:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a model checkpoint written by ``save_checkpoint``."""
+    """Read a model checkpoint written by ``save_checkpoint``. Its tensors are
+    read-only and its ``params`` refuse item assignment (``FrozenParams``), so
+    the inference weights that its first decode builds serve every later one;
+    decode a changed model from a writable copy, e.g. ``dict(ck.params)`` with
+    the changed tensors replaced."""
     manifest, params, config, bpe, tensors = _parse(path)
     if "extras" in manifest:
         raise DataFormatError("manifest extras: a training resume file, not a model checkpoint")
     if tensors:
         raise DataFormatError(f"tensor {next(iter(tensors))} is not a parameter")
-    return Checkpoint(params, config, bpe)
+    for arr in params.values():
+        arr.setflags(write=False)
+    return Checkpoint(FrozenParams(params), config, bpe)
 
 
 def save_train_state(path, params, model_cfg: ModelConfig, state: TrainState,

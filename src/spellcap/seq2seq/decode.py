@@ -9,7 +9,9 @@ against the other symbols inside each utterance's own top-k selection, so
 greedy decoding is the width-1 beam, ties and all. ``predict_names`` decodes
 ``CHUNK`` utterances per search and hands each utterance's ``greedy_decode``
 or ``beam_decode`` call its chunk's search and its index in the chunk;
-``predict_name`` is ``predict_names`` of one utterance. A chunk's padding
+``predict_name`` is ``predict_names`` of one utterance. Every search runs
+over the model's inference weights (``model.prepared``): a loaded
+checkpoint's own, or built once per ``predict_names`` call. A chunk's padding
 changes the shapes of the decoder's products, so a logprob can differ from
 decoding the utterance alone in the last digits (about 1e-14); the fixed
 chunk size keeps every run on the same input bit-identical.
@@ -30,6 +32,7 @@ from .model import (
     decoder_forward,
     encode,
     id_of_class,
+    prepared,
     reindex_cache,
 )
 
@@ -58,10 +61,12 @@ def _search(p, cfg, sources, width):
     live score cannot beat its best completed one (scores only decrease
     along a path), and its rows then leave the cache. Every utterance gets
     as many rows (slots) as the most live prefixes of any; spares copy its first.
+    ``p`` is a parameter dict or its ``InferenceWeights``.
     """
     if width < 1:
         raise ValueError("beam_width must be >= 1")
-    cache = decoder_cache(p, cfg, [encode(p, cfg, src) for src in sources])
+    w = prepared(p, cfg)
+    cache = decoder_cache(w, cfg, [encode(w, cfg, src) for src in sources])
     live = [[[BOS_ID]] for _ in sources]
     scores = [np.zeros(1) for _ in sources]
     completed: list[list[DecodeResult]] = [[] for _ in sources]
@@ -138,14 +143,16 @@ def predict_names(p, cfg: ModelConfig, sources, beam_width: int,
                   length_normalize: bool) -> tuple[list[Prediction], int]:
     """The best name of each of ``sources`` (``source_ids`` lists), decoded
     ``CHUNK`` utterances per search; returns (predictions, how many of them
-    never reached EOS)."""
+    never reached EOS). The inference weights are built once for every chunk,
+    or are a loaded checkpoint's own."""
+    w = prepared(p, cfg)
     best = []
     for i in range(0, len(sources), CHUNK):
         # the chunk's one search runs inside the decode call of its first
         # utterance and the others read their results from it, so a profile
         # of the decode calls holds each decoder step once
         chunk = sources[i:i + CHUNK]
-        search = cache(partial(_search, p, cfg, chunk, beam_width))
+        search = cache(partial(_search, w, cfg, chunk, beam_width))
         best += [greedy_decode(search, k) if beam_width == 1 else beam_decode(search, k)[0]
                  for k in range(len(chunk))]
     return ([_prediction(b, length_normalize) for b in best],

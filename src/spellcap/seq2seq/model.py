@@ -21,21 +21,31 @@ rows are one slice of them: the q/k/v projections run once over every row,
 then each group's slice of queries, keys and values is scattered to
 [b, H, L, D/H] with zero rows at padding, which the key mask keeps out of
 every valid row's softmax, and the groups' contexts, packed back to rows, are
-concatenated before ``wo``. A batch of at most 8 examples, and every
-inference call, is one group in example order. When every position is valid
-(one utterance at inference), packing is a reshape and nothing is scattered.
+concatenated before ``wo``. A batch of at most 8 examples is one group in
+example order. When every position is valid, packing is a reshape and
+nothing is scattered.
 Dropout masks are drawn over the padded shape and then packed, so the random
 stream and each position's mask do not depend on the padding or row order.
 
 One function, ``_stack_f``, runs a whole stack (embedding, every layer of
 ``LAYERS``, final layer norm) and keeps its caches as a named ``Stack``;
 ``_stack_b`` is its backward. Training, evaluation and ``forward_details``
-run one pass, ``_forward``, whose caches are a ``Pass``; ``encode`` calls
-``_stack_f``. The decode step ``decoder_forward`` has its own layer loop, on one
-new position per hypothesis, over the weights and key/value cache that
-``decoder_cache`` resolves once per search. The hypotheses of several
-utterances share one step, in equal runs of rows (slots) per utterance that
-attend over its one row of cross K/V, padded to the chunk's longest source.
+run one pass, ``_forward``, whose caches are a ``Pass``.
+
+Inference runs over ``InferenceWeights``, which ``inference_weights`` builds
+once per model: every layer norm that feeds a product is folded into it
+(gain into the weight's rows, bias into a bias), every query product carries
+the attention scale, and the embedding the sqrt(D) factor. A loaded
+checkpoint's read-only ``FrozenParams`` build them on its first decode and
+keep them; a parameter dict gets them built per ``predict_names`` call. The
+folded products round differently from the training pass (about 1e-14 in a
+logprob). ``encode`` runs one utterance, every position valid, through one
+loop over the encoder layers. The decode step ``decoder_forward`` has its own
+layer loop, on one new position per hypothesis, over those weights and the
+key/value cache that ``decoder_cache`` projects once per search. The
+hypotheses of several utterances share one step, in equal runs of rows
+(slots) per utterance that attend over its one row of cross K/V, padded to
+the chunk's longest source.
 """
 
 import math
@@ -168,7 +178,7 @@ def _index(valid):
     return None if valid.all() else np.flatnonzero(valid)
 
 
-def _layout(valid, keys, members=(slice(None),)):
+def _layout(valid, keys, members):
     """The Layout of the valid positions ``valid`` [B, L], a prefix of each
     example, whose groups hold the examples ``members`` (each an index array
     or slice of examples) in that order; ``keys(v)`` is the key mask of a
@@ -274,19 +284,21 @@ AttentionCache = namedtuple("AttentionCache",
                             "xq xkv q k v weights ctx scale q_rows kv_rows")
 
 
-def _attend(q, k, v, mask):
+def _attend(q, k, v, mask, scale=None):
     """Softmax attention of head-split queries over keys and values; ``mask``
     is a broadcastable boolean with True at attendable (query, key) pairs, or
-    None when every pair is. Returns (weights, head-split context, scale)."""
-    scale = 1.0 / math.sqrt(q.shape[-1])
+    None when every pair is. The scores are scaled by ``scale``, or not at all
+    when the queries already are (inference). Returns (weights, head-split
+    context)."""
     scores = q @ k.swapaxes(-1, -2)
-    scores *= scale
+    if scale is not None:
+        scores *= scale
     if mask is not None:
         scores = np.where(mask, scores, -np.inf)
     scores -= np.maximum.reduce(scores, -1, keepdims=True)
     weights = np.exp(scores, out=scores)
     weights /= np.add.reduce(weights, -1, keepdims=True)
-    return weights, weights @ v, scale
+    return weights, weights @ v
 
 
 def _attention_f(xq, xkv, p, prefix, n_heads, q_rows, kv_rows):
@@ -294,11 +306,12 @@ def _attention_f(xq, xkv, p, prefix, n_heads, q_rows, kv_rows):
     the rows ``xkv`` (laid out by ``kv_rows``, whose group ``keys`` masks
     apply), group k of the queries over group k of the keys."""
     q, k, v = xq @ p[prefix + ".wq"], xkv @ p[prefix + ".wk"], xkv @ p[prefix + ".wv"]
+    scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
     qs, ks, vs, ws, ctx = [], [], [], [], []  # one entry per group
     for gq, gkv in zip(q_rows.groups, kv_rows.groups):
         kg, vg = _heads(k, gkv, n_heads), _heads(v, gkv, n_heads)
         qg = _heads(q, gq, n_heads)
-        weights, c, scale = _attend(qg, kg, vg, gkv.keys)
+        weights, c = _attend(qg, kg, vg, gkv.keys, scale)
         qs.append(qg)
         ks.append(kg)
         vs.append(vg)
@@ -568,26 +581,121 @@ def check_source(cfg: ModelConfig, src_ids) -> None:
         raise ValueError(f"source longer than max_src_len={cfg.max_src_len}")
 
 
+# The weights that inference reads. Each layer norm that feeds a product is
+# folded into it by ``_fold``, as (w, c) for ``_norm_product``, and every query
+# product carries the scale 1 / sqrt(D/H). A layer holds per sublayer in
+# order: self-attention [wq | wk | wv] [D, 3D] (wqkv, cqkv) and wo; for the
+# decoder, cross-attention wq (cross_wq, cross_cq), its [wk | wv] [D, 2D] over
+# the memory and wo; the FFN (w1, c1), w2 and b2. The embedding carries the
+# sqrt(D) factor; ``memory_norm`` is the encoder's final (gain, bias), and
+# ``output`` the decoder's final norm folded into the output layer. Tables
+# that fold nothing are the parameters' own arrays.
+EncoderWeights = namedtuple("EncoderWeights", "wqkv cqkv wo w1 c1 w2 b2")
+DecoderWeights = namedtuple("DecoderWeights",
+                            "wqkv cqkv wo cross_wq cross_cq cross_wkv cross_wo w1 c1 w2 b2")
+InferenceWeights = namedtuple("InferenceWeights",
+                              "embedding encoder memory_norm decoder output")
+
+
+def _fold(p, norm, w, b=None):
+    """(gain[:, None] * w, bias @ w + b) of the layer norm named ``norm``:
+    the product ``layer_norm(x) @ w + b`` for ``_norm_product``."""
+    c = p[norm + ".bias"] @ w
+    return p[norm + ".gain"][:, None] * w, c if b is None else c + b
+
+
+def _norm_product(x, w, c):
+    """The rows ``x`` [N, D] through a layer norm folded into a product (w, c).
+    Inference takes its 2-D products with ``ndarray.dot``: the BLAS product of
+    ``@`` at about half the call overhead, which a one-row step is made of."""
+    col = _mean_column(x.shape[-1])
+    xc = x - x.dot(col)
+    y = xc.dot(w)
+    y /= np.sqrt((xc * xc).dot(col) + _LN_EPS)
+    y += c
+    return y
+
+
+def inference_weights(p, cfg: ModelConfig) -> InferenceWeights:
+    """The ``InferenceWeights`` of the parameters ``p``."""
+    scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
+
+    def attention(n, prefix):  # [wq | wk | wv] after the layer norm n
+        return (*_fold(p, n, np.concatenate([p[prefix + "wq"] * scale, p[prefix + "wk"],
+                                             p[prefix + "wv"]], 1)), p[prefix + "wo"])
+
+    def ffn(n, prefix):
+        return (*_fold(p, n, p[prefix + "w1"], p[prefix + "b1"]), p[prefix + "w2"],
+                p[prefix + "b2"])
+
+    encoder, decoder = [], []
+    for i in range(cfg.n_layers):
+        e, d = f"encoder.{i}.", f"decoder.{i}."
+        encoder.append(EncoderWeights(*attention(e + "ln1", e + "attn."),
+                                      *ffn(e + "ln2", e + "ffn.")))
+        cross = d + "cross_attn."
+        decoder.append(DecoderWeights(
+            *attention(d + "ln1", d + "self_attn."),
+            *_fold(p, d + "ln2", p[cross + "wq"] * scale),
+            np.concatenate([p[cross + "wk"], p[cross + "wv"]], 1), p[cross + "wo"],
+            *ffn(d + "ln3", d + "ffn.")))
+    return InferenceWeights(p["embedding"] * math.sqrt(cfg.d_model), tuple(encoder),
+                            (p["encoder.norm.gain"], p["encoder.norm.bias"]), tuple(decoder),
+                            _fold(p, "decoder.norm", p["output.weight"], p["output.bias"]))
+
+
+class FrozenParams(dict):
+    """A loaded checkpoint's parameters: read-only, as each of its tensors is,
+    so the inference weights built from them on first use (``_held``, with
+    their config) stay theirs."""
+
+    __slots__ = ("_held",)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a loaded checkpoint's parameters are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
+def prepared(p, cfg: ModelConfig) -> InferenceWeights:
+    """The inference weights of ``p``: ``p`` itself when it is some, a loaded
+    checkpoint's own (built on first use), or built now from a parameter dict."""
+    if isinstance(p, InferenceWeights):
+        return p
+    if not isinstance(p, FrozenParams):
+        return inference_weights(p, cfg)
+    held = getattr(p, "_held", None)
+    if held is None or held[0] != cfg:
+        held = p._held = (cfg, inference_weights(p, cfg))
+    return held[1]
+
+
 def encode(p, cfg: ModelConfig, src_ids) -> np.ndarray:
-    """Contextual memory [len(src), d_model] for one source sequence."""
+    """Contextual memory [len(src), d_model] for one source sequence; ``p``
+    is a parameter dict or its ``InferenceWeights``. Every position is valid,
+    so the layers run on the rows as they are."""
     check_source(cfg, src_ids)
     _check_ids(cfg, min(src_ids), max(src_ids))
-    arr = np.asarray([src_ids], dtype=np.int64)
-    return _stack_f(arr, p, cfg, "encoder", None,
-                    _layout(np.ones(arr.shape, bool), _source_keys))[0]
+    w = prepared(p, cfg)
+    n, heads, d = len(src_ids), cfg.n_heads, cfg.d_model
+    x = w.embedding[src_ids] + _positional_table(max(cfg.max_src_len, cfg.max_tgt_len), d)[:n]
+    for wqkv, cqkv, wo, w1, c1, w2, b2 in w.encoder:
+        # q, k and v head-split [H, n, D/H]
+        q, k, v = _norm_product(x, wqkv, cqkv).reshape(n, 3, heads, -1).transpose(1, 2, 0, 3)
+        x += _attend(q, k, v, None)[1].swapaxes(0, 1).reshape(n, d).dot(wo)
+        x += np.maximum(_norm_product(x, w1, c1), 0.0).dot(w2) + b2
+    gain, bias = w.memory_norm
+    return _normalize(x)[0] * gain + bias
 
 
 @dataclass(slots=True)
 class DecoderLayer:
-    """A decoder layer's weights, resolved once per search: ``norms`` (3 x (gain,
-    bias)), ``self_attn`` ([wq | wk | wv] [D, 3D], wo), ``cross_attn`` (wq, wo),
-    ``ffn`` (w1, b1, w2, b2); its head-split (keys, values), ``self_kv`` over each
-    row's prefix [rows, H, len, D/H] and ``cross_kv`` over each memory [U, H, S, D/H]."""
+    """A decoder layer of a search: its ``weights`` (``DecoderWeights``, the
+    model's own) and its head-split (keys, values), ``self_kv`` over each row's
+    prefix [rows, H, len, D/H] and ``cross_kv`` over each memory [U, H, S, D/H]."""
 
-    norms: tuple
-    self_attn: tuple
-    cross_attn: tuple
-    ffn: tuple
+    weights: DecoderWeights
     self_kv: tuple
     cross_kv: tuple
 
@@ -598,36 +706,31 @@ class DecoderCache:
     rows [U, slots] (utterance u's are u * slots ... u * slots + slots - 1): a
     ``DecoderLayer`` per layer, whose cross K/V are padded to the longest source
     and masked by ``keys`` [U, 1, 1, S] (None: every key is attendable), and the
-    ``embedding``, final ``norm`` and ``output`` (weight, bias) every step reads."""
+    scaled ``embedding`` and folded ``output`` (weight, bias) every step reads."""
 
     layers: list[DecoderLayer]
     keys: np.ndarray | None
     embedding: np.ndarray
-    norm: tuple
     output: tuple
 
 
 def decoder_cache(p, cfg: ModelConfig, memories) -> DecoderCache:
     """The cache of a chunk, one slot per utterance, from the memory
-    [len(src), d_model] of each; the cross K/V are projected here once."""
+    [len(src), d_model] of each; ``p`` is a parameter dict or its
+    ``InferenceWeights``. The cross K/V are projected here once."""
+    w = prepared(p, cfg)
     lengths = np.array([len(m) for m in memories])
     valid = np.arange(lengths.max()) < lengths[:, None]
-    # no key mask when every key is attendable, as for one utterance
-    group = _layout(valid, _source_keys).groups[0]
+    # the utterances as one group; no key mask when every key is attendable
+    group = Group(slice(None), _index(valid), valid.shape, _source_keys(valid))
     memory = np.concatenate(memories)
-    empty = np.zeros((len(memories), cfg.n_heads, 0, cfg.d_model // cfg.n_heads))
+    heads = cfg.n_heads
+    empty = np.zeros((len(memories), heads, 0, cfg.d_model // heads))
     layers = []
-    for i in range(cfg.n_layers):
-        n = f"decoder.{i}."
-        s, c, f = n + "self_attn.", n + "cross_attn.", n + "ffn."
-        layers.append(DecoderLayer(
-            tuple((p[f"{n}ln{j}.gain"], p[f"{n}ln{j}.bias"]) for j in (1, 2, 3)),
-            (np.concatenate([p[s + "wq"], p[s + "wk"], p[s + "wv"]], 1), p[s + "wo"]),
-            (p[c + "wq"], p[c + "wo"]), (p[f + "w1"], p[f + "b1"], p[f + "w2"], p[f + "b2"]),
-            (empty, empty), (_heads(memory @ p[c + "wk"], group, cfg.n_heads),
-                             _heads(memory @ p[c + "wv"], group, cfg.n_heads))))
-    return DecoderCache(layers, group.keys, p["embedding"], (p["decoder.norm.gain"],
-                        p["decoder.norm.bias"]), (p["output.weight"], p["output.bias"]))
+    for weights in w.decoder:
+        kv = _heads(memory.dot(weights.cross_wkv), group, 2 * heads)  # [U, 2H, S, D/H]
+        layers.append(DecoderLayer(weights, (empty, empty), (kv[:, :heads], kv[:, heads:])))
+    return DecoderCache(layers, group.keys, w.embedding, w.output)
 
 
 def reindex_cache(cache: DecoderCache, rows) -> None:
@@ -653,27 +756,26 @@ def reindex_cache(cache: DecoderCache, rows) -> None:
 def decoder_forward(p, cfg: ModelConfig, cache, tokens) -> np.ndarray:
     """Next-character logits [rows, n_classes] for ``tokens``, the next token of
     every row of ``cache`` (from ``decoder_cache``, which holds the weights; ``p``
-    is not read): every decoder layer on that one new position per row, with the
-    teacher-forced pass's arithmetic at dropout 0. Appends the self K/V in place."""
+    is not read): every decoder layer on that one new position per row, at
+    dropout 0, with each layer norm folded into the product after it. Appends
+    the self K/V in place."""
     _check_ids(cfg, min(tokens), max(tokens))
     rows, heads, d = len(tokens), cfg.n_heads, cfg.d_model
     t, utts = cache.layers[0].self_kv[0].shape[2], len(cache.layers[0].cross_kv[0])
-    x = (cache.embedding[tokens] * math.sqrt(d)
-         + _positional_table(max(cfg.max_src_len, cfg.max_tgt_len), d)[t])
+    x = cache.embedding[tokens] + _positional_table(max(cfg.max_src_len, cfg.max_tgt_len), d)[t]
     for layer in cache.layers:
-        (g1, b1), (g2, b2), (g3, b3) = layer.norms
-        (wqkv, wo), (wq, cross_wo), (w1, f1, w2, f2) = layer.self_attn, layer.cross_attn, layer.ffn
+        wqkv, cqkv, wo, wq, cq, _, cross_wo, w1, c1, w2, b2 = layer.weights
         # q, k and v of each row's one position, head-split [rows, H, 1, D/H]
-        qkv = ((_normalize(x)[0] * g1 + b1) @ wqkv).reshape(rows, 3, heads, 1, -1)
+        qkv = _norm_product(x, wqkv, cqkv).reshape(rows, 3, heads, 1, -1)
         k, v = layer.self_kv = tuple(np.concatenate([kv, qkv[:, j]], 2)
                                      for j, kv in zip((1, 2), layer.self_kv))
-        x = x + _attend(qkv[:, 0], k, v, None)[1].reshape(rows, d) @ wo
+        x += _attend(qkv[:, 0], k, v, None)[1].reshape(rows, d).dot(wo)
         # each utterance's slots are the queries over its one row of cross K/V
-        q = ((_normalize(x)[0] * g2 + b2) @ wq).reshape(utts, -1, heads, d // heads)
+        q = _norm_product(x, wq, cq).reshape(utts, -1, heads, d // heads)
         c = _attend(q.swapaxes(1, 2), *layer.cross_kv, cache.keys)[1]
-        x = x + c.swapaxes(1, 2).reshape(rows, d) @ cross_wo
-        x = x + (np.maximum((_normalize(x)[0] * g3 + b3) @ w1 + f1, 0.0) @ w2 + f2)
-    return (_normalize(x)[0] * cache.norm[0] + cache.norm[1]) @ cache.output[0] + cache.output[1]
+        x += c.swapaxes(1, 2).reshape(rows, d).dot(cross_wo)
+        x += np.maximum(_norm_product(x, w1, c1), 0.0).dot(w2) + b2
+    return _norm_product(x, *cache.output)
 
 
 def forward_details(p, cfg: ModelConfig, src_ids, tgt_ids):

@@ -19,7 +19,8 @@ from spellcap.seq2seq import (
     save_checkpoint,
     save_train_state,
 )
-from spellcap.seq2seq.decode import _search
+from spellcap.seq2seq import model as M
+from spellcap.seq2seq.decode import _search, predict_name
 from spellcap.seq2seq.train import EpochStats, TrainState
 
 
@@ -69,6 +70,49 @@ def test_predictions_identical_after_two_load_cycles(tmp_path, params):
     # and the name survives the original quantization
     g0 = _search(params, CFG, [src], 1)[0][0]
     assert g0.name == g1.name
+
+
+def test_loaded_checkpoint_is_read_only(tmp_path, params):
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, params, CFG, BPE)
+    ck = load_checkpoint(path)
+    assert ck.params.keys() == params.keys()
+    for arr in ck.params.values():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    for change in (lambda q: q.__setitem__("output.bias", np.zeros(M.N_CLASSES)),
+                   lambda q: q.__delitem__("output.bias"), lambda q: q.pop("output.bias"),
+                   lambda q: q.update({}), lambda q: q.setdefault("x", 0),
+                   lambda q: q.clear(), lambda q: q.popitem()):
+        with pytest.raises(TypeError, match="read-only"):
+            change(ck.params)
+    assert ck.params.keys() == params.keys()
+    # a copy is a plain, writable dict
+    edited = dict(ck.params)
+    edited["output.bias"] = np.zeros(M.N_CLASSES)
+    assert type(edited) is dict
+
+
+def test_loaded_checkpoint_builds_its_inference_weights_once(tmp_path, params, monkeypatch):
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, params, CFG, BPE)
+    builds = []
+
+    def counted(p, cfg):
+        builds.append(p)
+        return build(p, cfg)
+
+    build = M.inference_weights
+    monkeypatch.setattr(M, "inference_weights", counted)
+    ck = load_checkpoint(path)
+    assert not builds  # nothing is prepared at load
+    first = predict_name(ck.params, ck.config, ck.bpe, "vera v e r a")
+    predict_name(ck.params, ck.config, ck.bpe, "vera v e r a", beam_width=4)
+    assert predict_name(ck.params, ck.config, ck.bpe, "vera v e r a") == first
+    assert len(builds) == 1 and builds[0] is ck.params
+    # a plain dict gets its weights built once per call
+    predict_name(dict(ck.params), ck.config, ck.bpe, "vera v e r a")
+    assert len(builds) == 2
 
 
 def test_float64_roundtrip_exact(tmp_path, params):

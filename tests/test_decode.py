@@ -233,6 +233,24 @@ def test_beam_width_validation():
         _search(params, CFG, [[4, 5]], 0)
 
 
+def test_a_dict_changed_in_place_decodes_as_a_fresh_copy():
+    # a writable parameter dict gets its inference weights built once per
+    # predict_names call, so no call decodes with the weights of an earlier one
+    params = init_parameters(CFG, seed=4)
+    sources = random_sources(8, 5)
+    rng = np.random.default_rng(8)
+    for width in (1, 4):
+        before = predict_names(params, CFG, sources, width, False)
+        for path in ("embedding", "encoder.1.ln2.gain", "decoder.0.self_attn.wq",
+                     "decoder.1.ffn.b1", "decoder.norm.bias"):
+            params[path] += rng.standard_normal(params[path].shape)
+        params["output.bias"] = rng.standard_normal(params["output.bias"].shape)
+        after = predict_names(params, CFG, sources, width, False)
+        fresh = {path: arr.copy() for path, arr in params.items()}
+        assert after == predict_names(fresh, CFG, sources, width, False)
+        assert after != before
+
+
 def test_predict_name_pipeline():
     bpe = tk.learn_bpe(["vera v e r a", "jon j o n"], 4)
     cfg = ModelConfig(

@@ -133,11 +133,14 @@ def test_attention_rows_are_distributions(params):
 
 
 def test_encode_is_the_training_pass_memory(params):
-    # the inference encoder and the teacher-forced pass run one encoder stack
-    for src, tgt in pairs(seed=11, n=5):
-        memory = M.forward_details(params, TINY, src, tgt)["memory"]
-        assert memory.shape == (len(src), TINY.d_model)
-        assert np.array_equal(M.encode(params, TINY, src), memory)
+    # the inference encoder folds each layer norm into the product after it,
+    # so it rounds differently from the teacher-forced pass, at every length
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 17, TINY.max_src_len):
+        src = [int(i) for i in rng.integers(4, TINY.vocab_size, size=n)]
+        memory = M.forward_details(params, TINY, src, [1, 4, 2])["memory"]
+        assert memory.shape == (n, TINY.d_model)
+        assert np.max(np.abs(M.encode(params, TINY, src) - memory)) <= 1e-12
 
 
 def test_duplicating_batch_keeps_mean_loss(params):
@@ -491,8 +494,7 @@ def test_layer_norm_backward_matches_finite_differences():
 
 def weight_tables(layer):
     """Every weight array a ``DecoderLayer`` holds, the fused QKV first."""
-    return [*layer.self_attn, *layer.cross_attn, *layer.ffn,
-            *(array for norm in layer.norms for array in norm)]
+    return list(layer.weights)
 
 
 def test_identity_reindex_keeps_the_cache_and_others_gather(params):
