@@ -219,7 +219,7 @@ def save_checkpoint(path, params, model_cfg: ModelConfig, bpe: BpeModel) -> None
 
 @dataclass(frozen=True)
 class Checkpoint:
-    params: dict[str, np.ndarray]
+    params: FrozenParams
     config: ModelConfig
     bpe: BpeModel
 

@@ -9,12 +9,12 @@ against the other symbols inside each utterance's own top-k selection, so
 greedy decoding is the width-1 beam, ties and all. ``predict_names`` decodes
 ``CHUNK`` utterances per search and hands each utterance's ``greedy_decode``
 or ``beam_decode`` call its chunk's search and its index in the chunk;
-``predict_name`` is ``predict_names`` of one utterance. Every search runs
-over the model's inference weights (``model.prepared``): a loaded
-checkpoint's own, or built once per ``predict_names`` call. A chunk's padding
-changes the shapes of the decoder's products, so a logprob can differ from
-decoding the utterance alone in the last digits (about 1e-14); the fixed
-chunk size keeps every run on the same input bit-identical.
+``predict_name`` is ``predict_names`` of one utterance. ``predict_names``
+takes the model's inference weights once (``model.prepared``), and every
+function below it reads those weights alone. A chunk's padding changes the
+shapes of the decoder's products, so a logprob can differ from decoding the
+utterance alone in the last digits (about 1e-14); the fixed chunk size keeps
+every run on the same input bit-identical.
 """
 
 from dataclasses import dataclass
@@ -49,7 +49,7 @@ class DecodeResult:
     reached_eos: bool
 
 
-def _search(p, cfg, sources, width):
+def _search(w, cfg, sources, width):
     """Length-unnormalized beam search of each source of a chunk; returns, per
     source, its results sorted by logprob.
 
@@ -61,11 +61,9 @@ def _search(p, cfg, sources, width):
     live score cannot beat its best completed one (scores only decrease
     along a path), and its rows then leave the cache. Every utterance gets
     as many rows (slots) as the most live prefixes of any; spares copy its first.
-    ``p`` is a parameter dict or its ``InferenceWeights``.
     """
     if width < 1:
         raise ValueError("beam_width must be >= 1")
-    w = prepared(p, cfg)
     cache = decoder_cache(w, cfg, [encode(w, cfg, src) for src in sources])
     live = [[[BOS_ID]] for _ in sources]
     scores = [np.zeros(1) for _ in sources]
@@ -74,7 +72,7 @@ def _search(p, cfg, sources, width):
     for _ in range(cfg.max_tgt_len):
         tokens = [seq[-1] for u in active
                   for seq in live[u] + live[u][:1] * (slots - len(live[u]))]
-        logp = _log_softmax(decoder_forward(p, cfg, cache, tokens))
+        logp = _log_softmax(decoder_forward(w, cfg, cache, tokens))
         n_classes = logp.shape[1]
         still, parents = [], []  # the utterances still searching, the rows of their prefixes
         for j, u in enumerate(active):

@@ -37,15 +37,16 @@ once per model: every layer norm that feeds a product is folded into it
 (gain into the weight's rows, bias into a bias), every query product carries
 the attention scale, and the embedding the sqrt(D) factor. A loaded
 checkpoint's read-only ``FrozenParams`` build them on its first decode and
-keep them; a parameter dict gets them built per ``predict_names`` call. The
-folded products round differently from the training pass (about 1e-14 in a
-logprob). ``encode`` runs one utterance, every position valid, through one
+keep them; a parameter dict gets them built per ``predict_names`` call
+(``prepared``), and every decode function below that takes the weights alone.
+The folded products round differently from the training pass (about 1e-14 in
+a logprob). ``encode`` runs one utterance, every position valid, through one
 loop over the encoder layers. The decode step ``decoder_forward`` has its own
-layer loop, on one new position per hypothesis, over those weights and the
-key/value cache that ``decoder_cache`` projects once per search. The
-hypotheses of several utterances share one step, in equal runs of rows
-(slots) per utterance that attend over its one row of cross K/V, padded to
-the chunk's longest source.
+layer loop, on one new position per hypothesis, over those weights and a
+``DecoderCache``, the search's key/value state alone, whose cross K/V
+``decoder_cache`` projects once per search. The hypotheses of several
+utterances share one step, in equal runs of rows (slots) per utterance that
+attend over its one row of cross K/V, padded to the chunk's longest source.
 """
 
 import math
@@ -657,12 +658,15 @@ class FrozenParams(dict):
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle give a plain, writable dict of the
+        # tensors, without the held weights
+        return dict, (dict(self),)
+
 
 def prepared(p, cfg: ModelConfig) -> InferenceWeights:
-    """The inference weights of ``p``: ``p`` itself when it is some, a loaded
-    checkpoint's own (built on first use), or built now from a parameter dict."""
-    if isinstance(p, InferenceWeights):
-        return p
+    """The inference weights of the parameters ``p``: a loaded checkpoint's own
+    (built on first use), or built now from a parameter dict."""
     if not isinstance(p, FrozenParams):
         return inference_weights(p, cfg)
     held = getattr(p, "_held", None)
@@ -671,13 +675,12 @@ def prepared(p, cfg: ModelConfig) -> InferenceWeights:
     return held[1]
 
 
-def encode(p, cfg: ModelConfig, src_ids) -> np.ndarray:
-    """Contextual memory [len(src), d_model] for one source sequence; ``p``
-    is a parameter dict or its ``InferenceWeights``. Every position is valid,
-    so the layers run on the rows as they are."""
+def encode(w, cfg: ModelConfig, src_ids) -> np.ndarray:
+    """Contextual memory [len(src), d_model] for one source sequence, over the
+    inference weights ``w``. Every position is valid, so the layers run on the
+    rows as they are."""
     check_source(cfg, src_ids)
     _check_ids(cfg, min(src_ids), max(src_ids))
-    w = prepared(p, cfg)
     n, heads, d = len(src_ids), cfg.n_heads, cfg.d_model
     x = w.embedding[src_ids] + _positional_table(max(cfg.max_src_len, cfg.max_tgt_len), d)[:n]
     for wqkv, cqkv, wo, w1, c1, w2, b2 in w.encoder:
@@ -689,36 +692,24 @@ def encode(p, cfg: ModelConfig, src_ids) -> np.ndarray:
     return _normalize(x)[0] * gain + bias
 
 
-@dataclass(slots=True)
-class DecoderLayer:
-    """A decoder layer of a search: its ``weights`` (``DecoderWeights``, the
-    model's own) and its head-split (keys, values), ``self_kv`` over each row's
-    prefix [rows, H, len, D/H] and ``cross_kv`` over each memory [U, H, S, D/H]."""
-
-    weights: DecoderWeights
-    self_kv: tuple
-    cross_kv: tuple
-
-
 @dataclass
 class DecoderCache:
     """The decoder state of the U utterances of a chunk still searching, in
-    rows [U, slots] (utterance u's are u * slots ... u * slots + slots - 1): a
-    ``DecoderLayer`` per layer, whose cross K/V are padded to the longest source
-    and masked by ``keys`` [U, 1, 1, S] (None: every key is attendable), and the
-    scaled ``embedding`` and folded ``output`` (weight, bias) every step reads."""
+    rows [U, slots] (utterance u's are u * slots ... u * slots + slots - 1):
+    per decoder layer, the head-split (keys, values) ``self_kv`` over each
+    row's prefix [rows, H, len, D/H] and ``cross_kv`` over each memory
+    [U, H, S, D/H], padded to the longest source and masked by ``keys``
+    [U, 1, 1, S] (None: every key is attendable). It holds no weights."""
 
-    layers: list[DecoderLayer]
+    self_kv: list[tuple]
+    cross_kv: list[tuple]
     keys: np.ndarray | None
-    embedding: np.ndarray
-    output: tuple
 
 
-def decoder_cache(p, cfg: ModelConfig, memories) -> DecoderCache:
+def decoder_cache(w, cfg: ModelConfig, memories) -> DecoderCache:
     """The cache of a chunk, one slot per utterance, from the memory
-    [len(src), d_model] of each; ``p`` is a parameter dict or its
-    ``InferenceWeights``. The cross K/V are projected here once."""
-    w = prepared(p, cfg)
+    [len(src), d_model] of each; the cross K/V are projected here once, through
+    each layer of the inference weights ``w``."""
     lengths = np.array([len(m) for m in memories])
     valid = np.arange(lengths.max()) < lengths[:, None]
     # the utterances as one group; no key mask when every key is attendable
@@ -726,11 +717,11 @@ def decoder_cache(p, cfg: ModelConfig, memories) -> DecoderCache:
     memory = np.concatenate(memories)
     heads = cfg.n_heads
     empty = np.zeros((len(memories), heads, 0, cfg.d_model // heads))
-    layers = []
-    for weights in w.decoder:
-        kv = _heads(memory.dot(weights.cross_wkv), group, 2 * heads)  # [U, 2H, S, D/H]
-        layers.append(DecoderLayer(weights, (empty, empty), (kv[:, :heads], kv[:, heads:])))
-    return DecoderCache(layers, group.keys, w.embedding, w.output)
+    cross_kv = []
+    for layer in w.decoder:
+        kv = _heads(memory.dot(layer.cross_wkv), group, 2 * heads)  # [U, 2H, S, D/H]
+        cross_kv.append((kv[:, :heads], kv[:, heads:]))
+    return DecoderCache([(empty, empty)] * len(cross_kv), cross_kv, group.keys)
 
 
 def reindex_cache(cache: DecoderCache, rows) -> None:
@@ -738,44 +729,44 @@ def reindex_cache(cache: DecoderCache, rows) -> None:
     e.g. the parent of every slot after a search step, each utterance's in
     equal slots from its own (``row // slots``). Identity rows change nothing;
     an utterance's cross K/V and key-mask row go only when all its slots go."""
-    n, utts = len(cache.layers[0].self_kv[0]), len(cache.layers[0].cross_kv[0])
+    n, utts = len(cache.self_kv[0][0]), len(cache.cross_kv[0][0])
     if list(rows) == list(range(n)):
         return
     index = np.asarray(rows)
-    for layer in cache.layers:
-        layer.self_kv = tuple(kv[index] for kv in layer.self_kv)
+    # one layer at a time, so each layer's old K/V go before the next is gathered
+    for i, pair in enumerate(cache.self_kv):
+        cache.self_kv[i] = tuple(kv[index] for kv in pair)
     kept = list(dict.fromkeys(r // (n // utts) for r in rows))
     if kept == list(range(utts)):
         return
-    for layer in cache.layers:
-        layer.cross_kv = tuple(kv[kept] for kv in layer.cross_kv)
+    for i, pair in enumerate(cache.cross_kv):
+        cache.cross_kv[i] = tuple(kv[kept] for kv in pair)
     if cache.keys is not None:
         cache.keys = cache.keys[kept]
 
 
-def decoder_forward(p, cfg: ModelConfig, cache, tokens) -> np.ndarray:
+def decoder_forward(w, cfg: ModelConfig, cache, tokens) -> np.ndarray:
     """Next-character logits [rows, n_classes] for ``tokens``, the next token of
-    every row of ``cache`` (from ``decoder_cache``, which holds the weights; ``p``
-    is not read): every decoder layer on that one new position per row, at
-    dropout 0, with each layer norm folded into the product after it. Appends
-    the self K/V in place."""
+    every row of ``cache`` (from ``decoder_cache``): every decoder layer of the
+    inference weights ``w`` on that one new position per row, at dropout 0,
+    with each layer norm folded into the product after it. Appends the self
+    K/V in place."""
     _check_ids(cfg, min(tokens), max(tokens))
     rows, heads, d = len(tokens), cfg.n_heads, cfg.d_model
-    t, utts = cache.layers[0].self_kv[0].shape[2], len(cache.layers[0].cross_kv[0])
-    x = cache.embedding[tokens] + _positional_table(max(cfg.max_src_len, cfg.max_tgt_len), d)[t]
-    for layer in cache.layers:
-        wqkv, cqkv, wo, wq, cq, _, cross_wo, w1, c1, w2, b2 = layer.weights
+    t, utts = cache.self_kv[0][0].shape[2], len(cache.cross_kv[0][0])
+    x = w.embedding[tokens] + _positional_table(max(cfg.max_src_len, cfg.max_tgt_len), d)[t]
+    for i, (wqkv, cqkv, wo, wq, cq, _, cross_wo, w1, c1, w2, b2) in enumerate(w.decoder):
         # q, k and v of each row's one position, head-split [rows, H, 1, D/H]
         qkv = _norm_product(x, wqkv, cqkv).reshape(rows, 3, heads, 1, -1)
-        k, v = layer.self_kv = tuple(np.concatenate([kv, qkv[:, j]], 2)
-                                     for j, kv in zip((1, 2), layer.self_kv))
+        k, v = cache.self_kv[i] = tuple(np.concatenate([kv, qkv[:, j]], 2)
+                                        for j, kv in zip((1, 2), cache.self_kv[i]))
         x += _attend(qkv[:, 0], k, v, None)[1].reshape(rows, d).dot(wo)
         # each utterance's slots are the queries over its one row of cross K/V
         q = _norm_product(x, wq, cq).reshape(utts, -1, heads, d // heads)
-        c = _attend(q.swapaxes(1, 2), *layer.cross_kv, cache.keys)[1]
+        c = _attend(q.swapaxes(1, 2), *cache.cross_kv[i], cache.keys)[1]
         x += c.swapaxes(1, 2).reshape(rows, d).dot(cross_wo)
         x += np.maximum(_norm_product(x, w1, c1), 0.0).dot(w2) + b2
-    return _norm_product(x, *cache.output)
+    return _norm_product(x, *w.output)
 
 
 def forward_details(p, cfg: ModelConfig, src_ids, tgt_ids):

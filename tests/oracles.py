@@ -3,8 +3,9 @@
 Everything here is written the dumbest defensible way (plain recursion, full
 recomputation per point) so it shares no code path with the package. The
 builders ``learn_bpe_recount`` and ``hypothesis_from_text`` only wrap their
-results in package types, and ``full_recompute_scorer`` scores a prefix with
-the package's teacher-forced forward pass, never its incremental decoder.
+results in package types, ``full_recompute_scorer`` scores a prefix with
+the package's teacher-forced forward pass, never its incremental decoder, and
+``search`` is the package's own search, handed the inference weights it takes.
 """
 
 import math
@@ -12,7 +13,8 @@ from collections import Counter
 from functools import lru_cache
 
 from spellcap.baseline import AsrHypothesis, AsrToken
-from spellcap.seq2seq.model import _log_softmax, forward_details, id_of_class
+from spellcap.seq2seq.decode import _search
+from spellcap.seq2seq.model import _log_softmax, forward_details, id_of_class, prepared
 from spellcap.tokenizer import (
     BASE_TOKENS,
     BOS_ID,
@@ -101,6 +103,12 @@ def full_recompute_scorer(params, cfg, src):
         return _log_softmax(forward_details(params, cfg, src, tgt)["logits"][-1])
 
     return next_logprobs
+
+
+def search(p, cfg, sources, width):
+    """``decode._search`` of the chunk ``sources`` over the inference weights
+    of the parameters ``p``: a dict's, or a loaded checkpoint's own."""
+    return _search(prepared(p, cfg), cfg, sources, width)
 
 
 def greedy_search(next_logprobs, max_len):

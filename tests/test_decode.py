@@ -5,7 +5,7 @@ import pytest
 
 from spellcap import tokenizer as tk
 from spellcap.seq2seq import decode
-from spellcap.seq2seq.decode import _search, predict_name, predict_names
+from spellcap.seq2seq.decode import predict_name, predict_names
 from spellcap.seq2seq.model import (
     ModelConfig,
     _log_softmax,
@@ -14,11 +14,12 @@ from spellcap.seq2seq.model import (
     encode,
     forward_details,
     id_of_class,
+    inference_weights,
     init_parameters,
 )
 from spellcap.tokenizer import BOS_ID, EOS_ID, char_decode
 
-from oracles import beam_search, full_recompute_scorer, greedy_search
+from oracles import beam_search, full_recompute_scorer, greedy_search, search
 
 
 CFG = ModelConfig(
@@ -42,7 +43,7 @@ def test_beam_width_one_equals_greedy(seed):
     for src in random_sources(seed + 10, 12):
         classes, logprob, reached_eos = greedy_search(
             full_recompute_scorer(params, CFG, src), CFG.max_tgt_len)
-        b = _search(params, CFG, [src], 1)[0]
+        b = search(params, CFG, [src], 1)[0]
         assert len(b) == 1
         assert b[0].name == char_decode([BOS_ID] + [id_of_class(c) for c in classes])
         assert b[0].reached_eos == reached_eos
@@ -80,7 +81,7 @@ def test_wide_beam_matches_exhaustive_search(seed):
     params = init_parameters(CFG, seed=seed)
     for src in random_sources(seed + 20, 4):
         want_score, want_name = exhaustive_best(params, CFG, src, max_len=2)
-        top = _search(params, replace(CFG, max_tgt_len=2), [src], 900)[0][0]
+        top = search(params, replace(CFG, max_tgt_len=2), [src], 900)[0][0]
         assert abs(top.logprob - want_score) < 1e-9
         assert top.name == want_name
 
@@ -98,10 +99,10 @@ def test_search_matches_full_recompute_reference(seed, eos_bias, max_len):
     for src in random_sources(seed + 30, 4):
         ref = full_recompute_scorer(params, CFG, src)
         want = [greedy_search(ref, limit)]
-        got = [_search(params, cfg, [src], 1)[0][0]]
+        got = [search(params, cfg, [src], 1)[0][0]]
         for width in range(1, 6):
             want += beam_search(ref, width, limit)
-            got += _search(params, cfg, [src], width)[0]
+            got += search(params, cfg, [src], width)[0]
         assert len(got) == len(want)
         for g, (classes, logprob, reached_eos) in zip(got, want):
             assert g.name == char_decode([BOS_ID] + [id_of_class(c) for c in classes])
@@ -124,13 +125,13 @@ def mixed_chunk_setup(seed):
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_chunked_search_matches_one_at_a_time(seed, width, chunk):
     params, cfg, sources = mixed_chunk_setup(seed)
-    alone = [_search(params, cfg, [src], width)[0] for src in sources]
+    alone = [search(params, cfg, [src], width)[0] for src in sources]
     ended = {r[0].reached_eos for r in alone}
     # some searches end with EOS and leave the chunk while others run on
     assert ended == {True, False}
     got = []
     for i in range(0, len(sources), chunk):
-        got += _search(params, cfg, sources[i:i + chunk], width)
+        got += search(params, cfg, sources[i:i + chunk], width)
     assert len(got) == len(sources)
     for want, results in zip(alone, got):
         assert [r.name for r in results] == [r.name for r in want]
@@ -145,10 +146,14 @@ def test_decoding_never_applies_dropout():
     params, cfg, sources = mixed_chunk_setup(2)
     chunk = sorted(sources, key=len)[::31]  # 3 sources, shortest to longest
     noisy = replace(cfg, dropout=0.5)
-    caches = [decoder_cache(params, c, [encode(params, c, s) for s in chunk]) for c in (cfg, noisy)]
+    configs = (cfg, noisy)
+    weights = [inference_weights(params, c) for c in configs]
+    caches = [decoder_cache(w, c, [encode(w, c, s) for s in chunk])
+              for w, c in zip(weights, configs)]
     for t in range(cfg.max_tgt_len):
         tokens = [BOS_ID if t == 0 else id_of_class(1 + t + k) for k in range(len(chunk))]
-        want, got = (decoder_forward(params, c, cache, tokens) for c, cache in zip((cfg, noisy), caches))
+        want, got = (decoder_forward(w, c, cache, tokens)
+                     for w, c, cache in zip(weights, configs, caches))
         assert np.array_equal(got, want)
     for width in (1, 4):
         assert (predict_names(params, noisy, chunk, width, False)
@@ -162,17 +167,17 @@ def test_beam_keeps_one_cross_row_per_utterance(monkeypatch):
     params, cfg, sources = init_parameters(CFG, seed=0), CFG, mixed_chunk_setup(0)[2][:7]
     steps = []
 
-    def traced(p, cfg, cache, tokens):
-        steps.append((len(tokens), [len(kv) for layer in cache.layers for kv in layer.cross_kv]))
-        return decoder_forward(p, cfg, cache, tokens)
+    def traced(w, cfg, cache, tokens):
+        steps.append((len(tokens), [len(kv) for pair in cache.cross_kv for kv in pair]))
+        return decoder_forward(w, cfg, cache, tokens)
 
     monkeypatch.setattr(decode, "decoder_forward", traced)
     alone = []
     for src in sources:
-        _search(params, cfg, [src], 4)
+        search(params, cfg, [src], 4)
         alone.append(len(steps))
         steps.clear()
-    _search(params, cfg, sources, 4)
+    search(params, cfg, sources, 4)
     # the utterances still searching at each step, as when each searches alone
     searching = [sum(n > t for n in alone) for t in range(max(alone))]
     assert len(set(searching)) > 1
@@ -187,9 +192,9 @@ def test_chunk_wider_than_every_candidate_pool():
     # keeps all of its own, and none of another's
     params, cfg, sources = mixed_chunk_setup(3)
     cfg = replace(cfg, max_tgt_len=2)
-    got = _search(params, cfg, sources[:5], 900)
+    got = search(params, cfg, sources[:5], 900)
     for src, results in zip(sources[:5], got):
-        want = _search(params, cfg, [src], 900)[0]
+        want = search(params, cfg, [src], 900)[0]
         assert [r.name for r in results] == [r.name for r in want]
         assert max(abs(r.logprob - w.logprob) for r, w in zip(results, want)) <= 1e-9
 
@@ -197,7 +202,7 @@ def test_chunk_wider_than_every_candidate_pool():
 def test_beam_results_ranked_descending():
     params = init_parameters(CFG, seed=9)
     for src in random_sources(42, 8):
-        results = _search(params, CFG, [src], 4)[0]
+        results = search(params, CFG, [src], 4)[0]
         scores = [r.logprob for r in results]
         assert scores == sorted(scores, reverse=True)
         assert 1 <= len(results) <= 4
@@ -206,7 +211,7 @@ def test_beam_results_ranked_descending():
 def test_logprobs_nonpositive_and_sane():
     params = init_parameters(CFG, seed=5)
     src = random_sources(7, 1)[0]
-    g = _search(params, CFG, [src], 1)[0][0]
+    g = search(params, CFG, [src], 1)[0][0]
     assert g.logprob <= 0.0
     if g.reached_eos:
         # roughly uniform model: total close to (len+1) * log(1/29)
@@ -218,9 +223,9 @@ def test_truncation_at_max_len():
     params = init_parameters(CFG, seed=11)
     src = random_sources(13, 1)[0]
     short = replace(CFG, max_tgt_len=2)
-    g = _search(params, short, [src], 1)[0][0]
+    g = search(params, short, [src], 1)[0][0]
     assert len(g.name) <= 2
-    results = _search(params, short, [src], 3)[0]
+    results = search(params, short, [src], 3)[0]
     assert all(len(r.name) <= 2 for r in results)
     # a truncated result is flagged
     if not g.reached_eos:
@@ -230,7 +235,7 @@ def test_truncation_at_max_len():
 def test_beam_width_validation():
     params = init_parameters(CFG, seed=0)
     with pytest.raises(ValueError):
-        _search(params, CFG, [[4, 5]], 0)
+        search(params, CFG, [[4, 5]], 0)
 
 
 def test_a_dict_changed_in_place_decodes_as_a_fresh_copy():

@@ -97,15 +97,16 @@ def test_cached_steps_match_full_prefix(n_layers, n_heads, head_dim, max_tgt_len
     params = M.init_parameters(cfg, seed=seed)
     rng = np.random.default_rng(seed)
     src = list(rng.integers(4, 36, size=int(rng.integers(1, 9))))
-    memory = M.encode(params, cfg, src)
+    w = M.inference_weights(params, cfg)
+    memory = M.encode(w, cfg, src)
 
     def continuation(n):
         return [M.id_of_class(int(c)) for c in rng.integers(1, M.N_CLASSES, size=n)]
 
     prefixes = [[1] + continuation(max_tgt_len - 1)]
-    cache = M.decoder_cache(params, cfg, [memory])
+    cache = M.decoder_cache(w, cfg, [memory])
     for t in range(max_tgt_len):
-        step = M.decoder_forward(params, cfg, cache, [pre[t] for pre in prefixes])
+        step = M.decoder_forward(w, cfg, cache, [pre[t] for pre in prefixes])
         assert step.shape == (len(prefixes), M.N_CLASSES)
         for row, pre in zip(step, prefixes):
             # the teacher-forced training forward pass over the same prefix
@@ -135,12 +136,12 @@ def test_attention_rows_are_distributions(params):
 def test_encode_is_the_training_pass_memory(params):
     # the inference encoder folds each layer norm into the product after it,
     # so it rounds differently from the teacher-forced pass, at every length
-    rng = np.random.default_rng(11)
+    rng, w = np.random.default_rng(11), M.inference_weights(params, TINY)
     for n in (1, 2, 5, 17, TINY.max_src_len):
         src = [int(i) for i in rng.integers(4, TINY.vocab_size, size=n)]
         memory = M.forward_details(params, TINY, src, [1, 4, 2])["memory"]
         assert memory.shape == (n, TINY.d_model)
-        assert np.max(np.abs(M.encode(params, TINY, src) - memory)) <= 1e-12
+        assert np.max(np.abs(M.encode(w, TINY, src) - memory)) <= 1e-12
 
 
 def test_duplicating_batch_keeps_mean_loss(params):
@@ -435,18 +436,18 @@ def test_batch_contract_errors(params):
     with pytest.raises(ValueError, match="not a decoder output symbol"):
         M.pack_batch([([4], [1, 33, 2])])
     with pytest.raises(ValueError, match="empty source"):
-        M.encode(params, TINY, [])
+        M.encode(M.inference_weights(params, TINY), TINY, [])
 
 
 def test_out_of_range_token_ids_are_refused(params):
     # a negative id would silently read the embedding table from its end
     from spellcap.seq2seq.train import evaluate
 
-    tgt = [1, 4, 5, 2]
+    tgt, w = [1, 4, 5, 2], M.inference_weights(params, TINY)
     for bad in (-1, TINY.vocab_size):
         src = [5, bad, 9]
         with pytest.raises(ValueError, match="token id outside"):
-            M.encode(params, TINY, src)
+            M.encode(w, TINY, src)
         with pytest.raises(ValueError, match="token id outside"):
             M.loss_and_gradients(params, TINY, [(src, tgt)])
         with pytest.raises(ValueError, match="token id outside"):
@@ -457,9 +458,9 @@ def test_out_of_range_token_ids_are_refused(params):
         tgt_in[0, 1] = bad
         with pytest.raises(ValueError, match="token id outside"):
             M._forward(params, TINY, src_arr, src_valid, tgt_in, labels)
-        cache = M.decoder_cache(params, TINY, [M.encode(params, TINY, [5, 9])])
+        cache = M.decoder_cache(w, TINY, [M.encode(w, TINY, [5, 9])])
         with pytest.raises(ValueError, match="token id outside"):
-            M.decoder_forward(params, TINY, cache, [bad])
+            M.decoder_forward(w, TINY, cache, [bad])
 
 
 @pytest.mark.parametrize("n_rows", [1, 56, 700])
@@ -492,33 +493,24 @@ def test_layer_norm_backward_matches_finite_differences():
         assert np.max(np.abs(g.reshape(-1) - fd)) <= 1e-7 * np.max(np.abs(g)), path
 
 
-def weight_tables(layer):
-    """Every weight array a ``DecoderLayer`` holds, the fused QKV first."""
-    return list(layer.weights)
-
-
 def test_identity_reindex_keeps_the_cache_and_others_gather(params):
     # two utterances of different lengths, so the cross key mask matters. The
     # rows are [utterance, slot] in equal slots: the reindexes below keep,
     # repeat and reorder rows inside each utterance's own, then drop one
     sources = [[5, 9, 12, 20, 33], [7, 8]]
-    cache = M.decoder_cache(params, TINY, [M.encode(params, TINY, s) for s in sources])
+    w = M.inference_weights(params, TINY)
+    cache = M.decoder_cache(w, TINY, [M.encode(w, TINY, s) for s in sources])
     utts, owner, prefixes = [0, 1], [0, 1], [[1], [1]]
     steps = [[0, 1], [0, 0, 1, 1], [1, 0, 3, 2], [0, 1, 2, 3], [2, 3], [1, 1], [0]]
     for t, rows in enumerate(steps):
-        step = M.decoder_forward(params, TINY, cache, [pre[-1] for pre in prefixes])
+        step = M.decoder_forward(w, TINY, cache, [pre[-1] for pre in prefixes])
         for row, u, pre in zip(step, owner, prefixes):
             teacher = M.forward_details(params, TINY, sources[u], pre + [2])["logits"]
             assert np.max(np.abs(row - teacher[-1])) <= 1e-12
-        before = [(layer.self_kv, layer.cross_kv) for layer in cache.layers]
-        tables = [weight_tables(layer) for layer in cache.layers]
+        before = list(zip(cache.self_kv, cache.cross_kv, strict=True))
         keys = cache.keys
         M.reindex_cache(cache, rows)
-        after = [(layer.self_kv, layer.cross_kv) for layer in cache.layers]
-        # the weight tables are per search, never per row: the fused QKV and
-        # every other table stay the same objects
-        for layer, held in zip(cache.layers, tables):
-            assert all(a is b for a, b in zip(weight_tables(layer), held, strict=True))
+        after = list(zip(cache.self_kv, cache.cross_kv, strict=True))
         kept = [i for i, u in enumerate(utts) if u in {owner[r] for r in rows}]
         for (self_a, cross_a), (self_b, cross_b) in zip(after, before):
             if rows == list(range(len(owner))):

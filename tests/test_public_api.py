@@ -9,6 +9,11 @@ nothing reads does not keep a function alive. A reference inside the
 defining statement does not count either, so neither a recursive call nor an
 assignment's own target keeps a name alive. Dunder names such as
 ``__version__`` are read by tools outside the program and are exempt.
+
+Every parameter of every function in ``src/spellcap`` is read in that
+function's body (a nested function's body included), so no caller passes an
+argument that nothing reads. A stub whose whole body is one ``raise``, such
+as ``FrozenParams._read_only``, takes whatever its callers pass and is exempt.
 """
 
 import ast
@@ -74,3 +79,24 @@ def test_every_private_helper_is_referenced_outside_its_definition():
               if name.startswith("_") and not name.startswith("__")
               and USED[name] == own}
     assert not unused, f"private definitions nothing else references: {sorted(unused)}"
+
+
+def _unread(fn):
+    """The parameters of the function or lambda ``fn`` that its body never reads."""
+    body = fn.body if isinstance(fn.body, list) else [fn.body]
+    if len(body) == 1 and isinstance(body[0], ast.Raise):
+        return []
+    read = {n.id for stmt in body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    a = fn.args
+    params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+    return [x.arg for x in params if x is not None and x.arg not in read]
+
+
+def test_every_parameter_is_read_by_its_function():
+    unread = {f"{path.relative_to(ROOT)}:{fn.lineno}:{getattr(fn, 'name', 'lambda')}({name})"
+              for path, tree in SRC.items()
+              for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+              for name in _unread(fn)}
+    assert not unread, f"parameters their function never reads: {sorted(unread)}"

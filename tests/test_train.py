@@ -14,7 +14,6 @@ from spellcap.seq2seq import (
     save_train_state,
     train,
 )
-from spellcap.seq2seq.decode import _search
 from spellcap.seq2seq.train import (
     EpochStats,
     TrainState,
@@ -25,7 +24,7 @@ from spellcap.seq2seq.train import (
 )
 from spellcap.tokenizer import learn_bpe
 
-from oracles import early_stopping_replay
+from oracles import early_stopping_replay, search
 
 
 CFG = ModelConfig(
@@ -89,7 +88,7 @@ def test_overfit_single_pair_logprob_approaches_zero():
     early = res.history[4].train_loss
     late = res.history[-1].train_loss
     assert late < early
-    out = _search(res.params, CFG, [[4, 32, 4]], 1)[0][0]
+    out = search(res.params, CFG, [[4, 32, 4]], 1)[0][0]
     assert out.name == "a"
     assert out.reached_eos
     assert -0.5 < out.logprob < 0.0
